@@ -17,7 +17,7 @@ from .decomposition import (Decomposition, FactorData, canonical_rearrange,
                             compute_decomposition, compute_tau,
                             dual_decomposition, dual_params)
 from .codes import (CodeRecord, build_code, dual_code, enumerate_codes,
-                    index_count, self_dual_codes, self_dual_indices, tau_map,
+                    index_count, self_dual_codes, self_dual_indices,
                     validate_index)
 from .oracle import (FlatCode, check_cardinality, check_constacyclic,
                      check_duality, check_self_dual, dual_span, span_ideal)
@@ -31,7 +31,7 @@ __all__ = [
     "local_v_expansion",
     "Decomposition", "FactorData", "compute_decomposition", "compute_tau",
     "canonical_rearrange", "dual_decomposition", "dual_params",
-    "CodeRecord", "build_code", "enumerate_codes", "index_count", "tau_map",
+    "CodeRecord", "build_code", "enumerate_codes", "index_count",
     "dual_code", "self_dual_codes", "self_dual_indices", "validate_index",
     "FlatCode", "span_ideal", "check_cardinality", "check_constacyclic",
     "check_duality", "check_self_dual", "dual_span",

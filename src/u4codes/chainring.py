@@ -3,7 +3,8 @@
 Four element types live here:
 
 * RingElement      -- c0 + c1*u + c2*u^2 + c3*u^3, with u^4 = 0.
-* AmbientElement   -- an element of R[x]/(x^n - lam) for a unit lam of R;
+* AmbientElement   -- an element of R[x]/(x^n - lam) for a unit lam of R,
+                      stored flat in the oracle's layout (see the class);
                       the defining unit is carried on every value and any
                       operation mixing two ambients is a hard error.
 * BigQuotientElement -- xi0 + v*xi1 over GF(q)[x]/((x^n - delta)^2) with
@@ -15,6 +16,9 @@ psi_map / psi_inverse realize the coefficient-matrix isomorphism between
 the big quotient and the ambient with lam = delta + alpha*u^2 (it fixes
 x^i for i < n and sends v to u).  ambient_reciprocal is the substitution
 x -> x^(-1), an isomorphism onto the ambient with the inverse unit.
+
+Coordinates are validated only where values enter (the constructors and
+ambient_from_json), never on results of arithmetic.
 
 All values are immutable; operations are pure functions.
 """
@@ -31,19 +35,17 @@ class RingElement:
     __slots__ = ("gf", "cs")
 
     def __init__(self, gf, cs):
-        cs = tuple(cs)
-        if len(cs) != 4:
-            raise ValueError("a ring element has exactly 4 coordinates")
-        for c in cs:
-            gf.check(c)
         self.gf = gf
-        self.cs = cs
-
-    # -- constructors ------------------------------------------------------
+        self.cs = _checked(gf, cs)
 
     @classmethod
-    def from_scalar(cls, gf, c: int) -> "RingElement":
-        return cls(gf, (c, 0, 0, 0))
+    def _of(cls, gf, cs) -> "RingElement":
+        """An element from four coordinates already known to be valid."""
+        r = object.__new__(cls)
+        r.gf, r.cs = gf, tuple(cs)
+        return r
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, gf) -> "RingElement":
@@ -79,21 +81,18 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check_same(other)
-        fadd = self.gf.add
-        return RingElement(self.gf, tuple(fadd(a, b) for a, b in zip(self.cs, other.cs)))
+        return RingElement._of(self.gf, map(self.gf.add, self.cs, other.cs))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         self._check_same(other)
-        fsub = self.gf.sub
-        return RingElement(self.gf, tuple(fsub(a, b) for a, b in zip(self.cs, other.cs)))
+        return RingElement._of(self.gf, map(self.gf.sub, self.cs, other.cs))
 
     def __neg__(self) -> "RingElement":
-        fneg = self.gf.neg
-        return RingElement(self.gf, tuple(fneg(a) for a in self.cs))
+        return RingElement._of(self.gf, map(self.gf.neg, self.cs))
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check_same(other)
-        return RingElement(self.gf, conv4(self.gf, self.cs, other.cs))
+        return RingElement._of(self.gf, conv4(self.gf, self.cs, other.cs))
 
     def inv(self) -> "RingElement":
         """Inverse of a unit; triangular solve against the u-filtration."""
@@ -106,11 +105,7 @@ class RingElement:
         b2 = gf.neg(gf.mul(gf.add(gf.mul(a[1], b1), gf.mul(a[2], b0)), b0))
         b3 = gf.neg(gf.mul(
             gf.add(gf.add(gf.mul(a[1], b2), gf.mul(a[2], b1)), gf.mul(a[3], b0)), b0))
-        return RingElement(gf, (b0, b1, b2, b3))
-
-    def scale(self, c: int) -> "RingElement":
-        fmul = self.gf.mul
-        return RingElement(self.gf, tuple(fmul(a, c) for a in self.cs))
+        return RingElement._of(gf, (b0, b1, b2, b3))
 
     # -- comparison / display -------------------------------------------------
 
@@ -130,6 +125,16 @@ class RingElement:
 
     def to_json(self) -> list:
         return list(self.cs)
+
+
+def _checked(gf, cs) -> tuple[int, int, int, int]:
+    """The four coordinates of a ring element, each checked against gf."""
+    cs = tuple(cs)
+    if len(cs) != 4:
+        raise ValueError("a ring element has exactly 4 coordinates")
+    for c in cs:
+        gf.check(c)
+    return cs
 
 
 def conv4(gf, a, b) -> tuple[int, int, int, int]:
@@ -162,37 +167,33 @@ def ring_str(r: RingElement, poly_basis: bool = False) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def ring_from_json(gf, obj) -> RingElement:
-    return RingElement(gf, tuple(int(c) for c in obj))
-
-
 def lam_of(gf, delta: int, alpha: int) -> RingElement:
     """The unit delta + alpha*u^2."""
     return RingElement(gf, (delta, 0, alpha, 0))
 
 
 class AmbientElement:
-    """An element of R[x]/(x^n - lam), as n ring-element coefficients."""
+    """An element of R[x]/(x^n - lam) as a flat tuple of 4n field ints:
+    flat[4i .. 4i+3] are the u^0 .. u^3 coordinates of the x^i coefficient,
+    the layout the oracle spans."""
 
-    __slots__ = ("gf", "n", "lam", "coeffs")
+    __slots__ = ("gf", "n", "lam", "flat")
 
     def __init__(self, gf, n: int, lam: RingElement, coeffs):
-        coeffs = tuple(coeffs)
+        """n coefficients, each a RingElement or four field ints; validated."""
+        coeffs = [_checked(gf, c.cs if isinstance(c, RingElement) else c) for c in coeffs]
         if len(coeffs) != n:
             raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
         if not lam.is_unit():
             raise ValueError("the defining constant of the ambient must be a unit")
-        self.gf = gf
-        self.n = n
-        self.lam = lam
-        self.coeffs = coeffs
+        self.gf, self.n, self.lam = gf, n, lam
+        self.flat = tuple(c for cs in coeffs for c in cs)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, gf, n: int, lam: RingElement) -> "AmbientElement":
-        z = RingElement.zero(gf)
-        return cls(gf, n, lam, (z,) * n)
+        return cls(gf, n, lam, [(0, 0, 0, 0)] * n)
 
     @classmethod
     def one(cls, gf, n: int, lam: RingElement) -> "AmbientElement":
@@ -200,13 +201,11 @@ class AmbientElement:
 
     @classmethod
     def from_ring_scalar(cls, gf, n: int, lam: RingElement, r: RingElement) -> "AmbientElement":
-        z = RingElement.zero(gf)
-        return cls(gf, n, lam, (r,) + (z,) * (n - 1))
+        return cls(gf, n, lam, [r] + [(0, 0, 0, 0)] * (n - 1))
 
     @classmethod
     def x_pow(cls, gf, n: int, lam: RingElement, k: int) -> "AmbientElement":
-        z = RingElement.zero(gf)
-        coeffs = [z] * n
+        coeffs = [(0, 0, 0, 0)] * n
         r = RingElement.one(gf)
         while k >= n:
             r = r * lam
@@ -222,9 +221,8 @@ class AmbientElement:
         for a in parts:
             if len(a) > n:
                 raise ValueError("component degree must be below n")
-        coeffs = [RingElement(gf, tuple(a[i] if i < len(a) else 0 for a in parts))
-                  for i in range(n)]
-        return cls(gf, n, lam, coeffs)
+        return cls(gf, n, lam, [[a[i] if i < len(a) else 0 for a in parts]
+                                for i in range(n)])
 
     # -- ambient discipline -------------------------------------------------
 
@@ -240,63 +238,61 @@ class AmbientElement:
                 f"mixing R[x]/(x^{self.n} - ({self.lam})) with "
                 f"R[x]/(x^{other.n} - ({other.lam}))")
 
+    def _with(self, flat, lam=None) -> "AmbientElement":
+        """A flat vector known to be valid, in this ambient or in lam's."""
+        a = object.__new__(AmbientElement)
+        a.gf, a.n, a.lam, a.flat = self.gf, self.n, lam or self.lam, tuple(flat)
+        return a
+
+    def coeff(self, i: int) -> tuple[int, int, int, int]:
+        """The four u-coordinates of the coefficient of x^i."""
+        return self.flat[4 * i:4 * i + 4]
+
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "AmbientElement") -> "AmbientElement":
         self._require_same(other)
-        return AmbientElement(self.gf, self.n, self.lam,
-                              tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._with(map(self.gf.add, self.flat, other.flat))
 
     def __sub__(self, other: "AmbientElement") -> "AmbientElement":
         self._require_same(other)
-        return AmbientElement(self.gf, self.n, self.lam,
-                              tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._with(map(self.gf.sub, self.flat, other.flat))
 
     def __neg__(self) -> "AmbientElement":
-        return AmbientElement(self.gf, self.n, self.lam,
-                              tuple(-a for a in self.coeffs))
+        return self._with(map(self.gf.neg, self.flat))
 
     def __mul__(self, other: "AmbientElement") -> "AmbientElement":
         self._require_same(other)
-        gf, n = self.gf, self.n
-        fadd, fmul = gf.add, gf.mul
-        full = [(0, 0, 0, 0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            acs = a.cs
+        gf, n, fadd = self.gf, self.n, self.gf.add
+        out = [0] * (4 * n)
+        for i in range(n):
+            acs = self.coeff(i)
             if acs == (0, 0, 0, 0):
                 continue
-            for j, b in enumerate(other.coeffs):
-                bcs = b.cs
+            for j in range(n):
+                bcs = other.coeff(j)
                 if bcs == (0, 0, 0, 0):
                     continue
                 prod = conv4(gf, acs, bcs)
-                cur = full[i + j]
-                full[i + j] = (fadd(cur[0], prod[0]), fadd(cur[1], prod[1]),
-                               fadd(cur[2], prod[2]), fadd(cur[3], prod[3]))
-        lam_cs = self.lam.cs
-        out = list(full[:n]) + [(0, 0, 0, 0)] * (n - len(full[:n]))
-        for k in range(n, 2 * n - 1):
-            cs = full[k]
-            if cs == (0, 0, 0, 0):
-                continue
-            folded = conv4(gf, cs, lam_cs)
-            cur = out[k - n]
-            out[k - n] = (fadd(cur[0], folded[0]), fadd(cur[1], folded[1]),
-                          fadd(cur[2], folded[2]), fadd(cur[3], folded[3]))
-        return AmbientElement(gf, n, self.lam,
-                              tuple(RingElement(gf, cs) for cs in out))
+                k = i + j
+                if k >= n:   # x^n = lam
+                    prod = conv4(gf, prod, self.lam.cs)
+                    k -= n
+                out[4 * k:4 * k + 4] = map(fadd, out[4 * k:4 * k + 4], prod)
+        return self._with(out)
 
     def scale(self, r: RingElement) -> "AmbientElement":
-        return AmbientElement(self.gf, self.n, self.lam,
-                              tuple(c * r for c in self.coeffs))
+        if r.gf != self.gf:
+            raise AmbientMismatchError("scaling by a ring element over another field")
+        gf, cs = self.gf, r.cs
+        return self._with(c for i in range(self.n) for c in conv4(gf, self.coeff(i), cs))
 
     def times_x(self) -> "AmbientElement":
         """Multiply by x: the lam-twisted cyclic shift of the coefficients."""
-        shifted = (self.coeffs[-1] * self.lam,) + self.coeffs[:-1]
-        return AmbientElement(self.gf, self.n, self.lam, shifted)
+        return self._with(conv4(self.gf, self.flat[-4:], self.lam.cs) + self.flat[:-4])
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.flat)
 
     # -- comparison / display ---------------------------------------------------
 
@@ -306,10 +302,10 @@ class AmbientElement:
         if not self.same_ambient(other):
             raise AmbientMismatchError(
                 "equality across different ambient rings is not defined")
-        return all(a.cs == b.cs for a, b in zip(self.coeffs, other.coeffs))
+        return self.flat == other.flat
 
     def __hash__(self) -> int:
-        return hash((self.n, self.lam.cs, tuple(c.cs for c in self.coeffs)))
+        return hash((self.n, self.lam.cs, self.flat))
 
     def __str__(self) -> str:
         return ambient_str(self)
@@ -319,12 +315,12 @@ class AmbientElement:
 
     def to_json(self) -> dict:
         return {"n": self.n, "lambda": self.lam.to_json(),
-                "coeffs": [c.to_json() for c in self.coeffs]}
+                "coeffs": [list(self.coeff(i)) for i in range(self.n)]}
 
 
 def ambient_from_json(gf, obj) -> AmbientElement:
-    lam = ring_from_json(gf, obj["lambda"])
-    coeffs = [ring_from_json(gf, cs) for cs in obj["coeffs"]]
+    lam = RingElement(gf, [int(c) for c in obj["lambda"]])
+    coeffs = [[int(c) for c in cs] for cs in obj["coeffs"]]
     return AmbientElement(gf, int(obj["n"]), lam, coeffs)
 
 
@@ -332,10 +328,10 @@ def ambient_str(a: AmbientElement, poly_basis: bool = False) -> str:
     """Polynomial in x with parenthesized ring coefficients, descending."""
     terms = []
     for k in range(a.n - 1, -1, -1):
-        c = a.coeffs[k]
-        if c.is_zero():
+        cs = a.coeff(k)
+        if cs == (0, 0, 0, 0):
             continue
-        cstr = ring_str(c, poly_basis=poly_basis)
+        cstr = ring_str(RingElement._of(a.gf, cs), poly_basis=poly_basis)
         if k == 0:
             terms.append(cstr)
             continue
@@ -357,13 +353,11 @@ def ambient_reciprocal(a: AmbientElement) -> AmbientElement:
     ring isomorphism between the two ambients (an automorphism when
     lam^(-1) = lam).
     """
-    gf, n, lam = a.gf, a.n, a.lam
-    lam_inv = lam.inv()
-    coeffs = [RingElement.zero(gf)] * n
-    coeffs[0] = a.coeffs[0]
-    for i in range(1, n):
-        coeffs[n - i] = coeffs[n - i] + a.coeffs[i] * lam
-    return AmbientElement(gf, n, lam_inv, coeffs)
+    gf, n, lam_cs = a.gf, a.n, a.lam.cs
+    flat = list(a.coeff(0))
+    for i in range(n - 1, 0, -1):
+        flat.extend(conv4(gf, a.coeff(i), lam_cs))
+    return a._with(flat, a.lam.inv())
 
 
 class BigQuotientElement:
@@ -455,7 +449,7 @@ def psi_inverse(a: AmbientElement) -> BigQuotientElement:
     d, c1, alpha, c3 = a.lam.cs
     if c1 != 0 or c3 != 0 or alpha == 0:
         raise ValueError("ambient unit is not of the form delta + alpha*u^2")
-    comps = [poly.normalize([c.cs[k] for c in a.coeffs]) for k in range(4)]
+    comps = [poly.normalize(a.flat[k::4]) for k in range(4)]
     xnd = poly.xn_minus_c(gf, n, d)
     ai = gf.inv(alpha)
     shift = poly.scale(gf, xnd, ai)

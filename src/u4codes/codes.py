@@ -60,12 +60,24 @@ def validate_index(d: Decomposition, idx) -> tuple[int, ...]:
     return idx
 
 
+def _shift_sum(d: Decomposition, exps) -> AmbientElement:
+    """sum_j u^(exps_j) * e_j(x).
+
+    Multiplying by u^l moves u-coordinate k of every position to k + l and
+    drops what passes u^3, so each term is a strided add on the flat vector.
+    """
+    fadd = d.gf.add
+    flat = [0] * (4 * d.n)
+    for l, fd in zip(exps, d.factors):
+        for k in range(l, 4):
+            flat[k::4] = map(fadd, flat[k::4], fd.e.flat[k - l::4])
+    return d.factors[0].e._with(flat)   # every e_j lies in d's ambient
+
+
 def build_code(d: Decomposition, idx) -> CodeRecord:
     """The code generated by sum_j u^(l_j) * e_j(x)."""
     idx = validate_index(d, idx)
-    gen = d.ambient_zero()
-    for l, fd in zip(idx, d.factors):
-        gen = gen + fd.e.scale(RingElement.u_pow(d.gf, l))
+    gen = _shift_sum(d, idx)
     log = sum((_MAX_EXP - l) * fd.degree for l, fd in zip(idx, d.factors))
     return CodeRecord(index=idx, generator=gen, log_q_size=log)
 
@@ -90,15 +102,11 @@ def enumerate_codes(d: Decomposition, start: int = 0,
     start / limit select a contiguous slice by lexicographic rank, so huge
     index spaces can be walked in pieces without materializing anything.
     """
+    if start < 0 or (limit is not None and limit < 0):
+        raise ValueError(f"start and limit must be >= 0, got {start} and {limit}")
     total = index_count(d)
     stop = total if limit is None else min(total, start + limit)
-    for rank in range(start, stop):
-        yield build_code(d, rank_to_index(d, rank))
-
-
-def tau_map(a: AmbientElement) -> AmbientElement:
-    """The substitution x -> x^(-1) into the inverse-unit ambient."""
-    return ambient_reciprocal(a)
+    return (build_code(d, rank_to_index(d, rank)) for rank in range(start, stop))
 
 
 def dual_code(d: Decomposition, idx) -> CodeRecord:
@@ -109,10 +117,7 @@ def dual_code(d: Decomposition, idx) -> CodeRecord:
     dual ambient in its canonical order.
     """
     idx = validate_index(d, idx)
-    comp = d.ambient_zero()
-    for l, fd in zip(idx, d.factors):
-        comp = comp + fd.e.scale(RingElement.u_pow(d.gf, _MAX_EXP - l))
-    gen = ambient_reciprocal(comp)
+    gen = ambient_reciprocal(_shift_sum(d, [_MAX_EXP - l for l in idx]))
     inv_tau = [0] * d.r
     for j, k in enumerate(d.tau):
         inv_tau[k] = j

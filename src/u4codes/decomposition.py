@@ -246,9 +246,13 @@ def from_json(obj) -> Decomposition:
     n = int(obj["n"])
     delta = gf.check(int(obj["delta"]))
     alpha = gf.check(int(obj["alpha"]))
+    lam = lam_of(gf, delta, alpha)
     factors = []
     for fo in obj["factors"]:
         e = ambient_from_json(gf, fo["e"])
+        if e.n != n or e.lam != lam:
+            raise ValueError("an idempotent e does not lie in R[x]/(x^n - lambda) "
+                             "of the decomposition")
         factors.append(FactorData(
             f=poly.from_json(gf, fo["f"]), degree=int(fo["degree"]),
             cofactor=poly.from_json(gf, fo["cofactor"]),

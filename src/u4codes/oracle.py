@@ -46,11 +46,8 @@ def _conv4(gf, a, b):
 
 
 def flatten_ambient(a) -> tuple[int, ...]:
-    """Flatten an ambient element to its length-4n coordinate vector."""
-    out = []
-    for c in a.coeffs:
-        out.extend(c.cs)
-    return tuple(out)
+    """The length-4n coordinate vector, which ambient elements store as is."""
+    return a.flat
 
 
 def _mul_u_flat(vec, n: int) -> tuple[int, ...]:

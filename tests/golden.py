@@ -37,5 +37,6 @@ SELF_DUAL_GENERATORS = {
 
 
 def ambient_coeff_tuples(a):
-    """The ((c0,c1,c2,c3), ...) coefficient view of an ambient element."""
-    return tuple(c.cs for c in a.coeffs)
+    """The ((c0,c1,c2,c3), ...) coefficient view of an ambient element's
+    flat vector (four u-coordinates per position, ascending in x)."""
+    return tuple(a.flat[i:i + 4] for i in range(0, len(a.flat), 4))

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from u4codes import cli
 
@@ -198,6 +199,18 @@ def test_enumeration_cap(capsys):
     code, out, _ = run(capsys, "codes", *args, "--limit", "3")
     assert code == 0
     assert len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("window", [("--start", "-3", "--limit", "2"),
+                                    ("--limit", "-1")], ids=["start", "limit"])
+@pytest.mark.parametrize("command", [("codes",), ("verify", "--scope", "all")],
+                         ids=["codes", "verify"])
+def test_negative_start_or_limit_is_a_validation_error(capsys, command, window):
+    # a negative rank would wrap to the last codes; a negative limit emits none
+    code, out, err = run(capsys, *command, *N7A, *window)
+    assert code == 2
+    assert out == ""
+    assert "must be" in err
 
 
 def test_explicit_modulus_and_field_display(capsys):

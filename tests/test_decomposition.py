@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from u4codes import (GF, InternalError, canonical_rearrange,
-                     compute_decomposition, compute_tau, dual_decomposition,
-                     dual_params, poly)
+from u4codes import (GF, AmbientElement, InternalError, RingElement,
+                     canonical_rearrange, compute_decomposition, compute_tau,
+                     dual_decomposition, dual_params, poly)
+from u4codes.chainring import ambient_from_json
 from u4codes import decomposition as decomp_mod
 from golden import E1, E2, E3, EPS_PAIRS_N7, RHO_N7, TAU_N7, ambient_coeff_tuples
 
@@ -233,3 +234,38 @@ def test_mismatched_idempotent_raises_internal_error(dec7):
         dec7, factors=(dec7.factors[0],) * 3)   # three copies of e1
     with pytest.raises(InternalError):
         compute_tau(broken)
+
+
+def _break_ambient(obj, how):
+    """Spoil the JSON of an ambient element in place."""
+    if how == "coordinate out of range":
+        obj["coeffs"][0][0] = 2
+    elif how == "wrong coefficient count":
+        obj["coeffs"].pop()
+    elif how == "3-entry ring coefficient":
+        obj["coeffs"][1].pop()
+    elif how == "non-unit lambda":
+        obj["lambda"][0] = 0
+
+
+@pytest.mark.parametrize("how", ["coordinate out of range", "wrong coefficient count",
+                                 "3-entry ring coefficient", "non-unit lambda"])
+def test_ambient_boundaries_reject_bad_input(dec7, how):
+    gf = dec7.gf
+    obj = dec7.factors[1].e.to_json()
+    _break_ambient(obj, how)
+    with pytest.raises(ValueError):
+        AmbientElement(gf, 7, RingElement(gf, obj["lambda"]), obj["coeffs"])
+    with pytest.raises(ValueError):
+        ambient_from_json(gf, obj)
+    blob = decomp_mod.to_json(dec7)
+    _break_ambient(blob["factors"][1]["e"], how)
+    with pytest.raises(ValueError):
+        decomp_mod.from_json(blob)
+
+
+def test_from_json_rejects_an_idempotent_of_another_ambient(dec7):
+    blob = decomp_mod.to_json(dec7)
+    blob["factors"][2]["e"]["lambda"] = [1, 1, 1, 0]   # a unit, but not 1 + u^2
+    with pytest.raises(ValueError):
+        decomp_mod.from_json(blob)

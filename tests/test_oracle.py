@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from u4codes import (AmbientElement, AmbientMismatchError, RingElement,
@@ -121,3 +124,18 @@ def test_flatten_convention(gf2):
     assert flat == (0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     b = AmbientElement.x_pow(gf2, 3, lam, 1)
     assert oracle.flatten_ambient(b) == (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+
+
+def test_oracle_imports_no_construction_module():
+    # the oracle reads the flat layout of ambient elements, never their arithmetic
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert "errors" in imported
+    assert not imported & {"chainring", "decomposition", "codes"}
