@@ -231,7 +231,7 @@ def _verify_one(d, rec) -> dict:
     fd = oracle.span_ideal(dual.generator)
     checks = {
         "cardinality": fc.dim == rec.log_q_size,
-        "constacyclic": oracle.check_constacyclic(fc),
+        "constacyclic": oracle.check_constacyclic(fc) and oracle.check_constacyclic(fd),
         "duality": (oracle.check_duality(fc, fd)
                     and rec.log_q_size + dual.log_q_size == 4 * d.n),
     }

@@ -161,10 +161,14 @@ def compute_decomposition(gf, n: int, delta: int, alpha: int,
     tau = compute_tau(d, seed=seed)
     rho = eps_pairs = None
     if delta == gf.inv(delta):
-        fixed = sum(1 for j, k in enumerate(tau) if j == k)
-        rho = fixed
-        eps_pairs = (len(tau) - fixed) // 2
+        rho, eps_pairs = _involution_counts(tau)
     return replace(d, tau=tau, rho=rho, eps_pairs=eps_pairs)
+
+
+def _involution_counts(tau) -> tuple[int, int]:
+    """(rho, eps_pairs): the fixed points and 2-cycles of an involution."""
+    fixed = sum(1 for j, k in enumerate(tau) if j == k)
+    return fixed, (len(tau) - fixed) // 2
 
 
 def dual_decomposition(d: Decomposition, seed: int = DEFAULT_SEED) -> Decomposition:
@@ -261,13 +265,26 @@ def from_json(obj) -> Decomposition:
             e0=poly.from_json(gf, fo["e0"]), e1=poly.from_json(gf, fo["e1"]),
             e=e, omega=poly.from_json(gf, fo["omega"]),
             omega_inv=poly.from_json(gf, fo["omega_inv"])))
+    total = AmbientElement.zero(gf, n, lam)
+    for fd in factors:
+        total = total + fd.e
+    if total != AmbientElement.one(gf, n, lam):
+        raise ValueError("the idempotents e_j do not sum to 1")
+    tau = tuple(int(t) for t in obj["tau"])
+    if sorted(tau) != list(range(len(factors))):
+        raise ValueError(f"tau = {list(tau)} is not a permutation of the factor indices")
+    rho, eps_pairs = (None if obj.get(key) is None else int(obj[key])
+                      for key in ("rho", "eps_pairs"))
+    if rho is not None or eps_pairs is not None:
+        if any(tau[k] != j for j, k in enumerate(tau)):
+            raise ValueError("rho and eps_pairs are given but tau is not an involution")
+        fixed, pairs = _involution_counts(tau)
+        if rho not in (None, fixed) or eps_pairs not in (None, pairs):
+            raise ValueError(f"rho = {rho} and eps_pairs = {eps_pairs} disagree with tau, "
+                             f"which has {fixed} fixed points and {pairs} 2-cycles")
     fact = Factorization(gf=gf, n=n, delta=delta,
                          factors=tuple(fd.f for fd in factors))
-    rho = obj.get("rho")
-    eps_pairs = obj.get("eps_pairs")
     return Decomposition(gf=gf, n=n, delta=delta, alpha=alpha,
                          factorization=fact, factors=tuple(factors),
-                         tau=tuple(int(t) for t in obj["tau"]),
-                         rho=None if rho is None else int(rho),
-                         eps_pairs=None if eps_pairs is None else int(eps_pairs),
+                         tau=tau, rho=rho, eps_pairs=eps_pairs,
                          canonical=bool(obj.get("canonical", False)))

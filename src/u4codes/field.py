@@ -3,15 +3,20 @@
 Elements are plain Python ints: the element with power-basis coordinates
 (c_0, ..., c_{m-1}) over GF(p) is encoded as c_0 + c_1*p + ... +
 c_{m-1}*p^(m-1).  The encoding is a bijection onto range(q), 0 encodes 0
-and 1 encodes 1, and for m = 1 it is the identity.  A GF instance owns the
-defining modulus and provides all arithmetic; for small fields the four
-operation tables are precomputed so hot loops reduce to list indexing.
+and 1 encodes 1, and for m = 1 it is the identity.
+
+Every field, whatever its size, is served by the same O(q) tables of a
+primitive element g: exp[k] = g^k and log[g^k] = k.  Multiplication,
+inversion, negation and powers add logarithms.  Addition depends on the
+characteristic: for p = 2 the encoding is the bit vector of the
+coordinates, so a + b is a XOR b; for odd p it uses Zech logarithms,
+g^i + g^j = g^(i + zech[j - i]) with zech[k] = log(1 + g^k) (Lidl &
+Niederreiter, Finite Fields).
 """
 
 from __future__ import annotations
 
-# Fields up to this size get full add/sub/mul tables (q^2 entries each).
-_TABLE_MAX = 512
+import operator
 
 
 def is_prime(p: int) -> bool:
@@ -46,10 +51,19 @@ class GF:
     omitted it is generated deterministically: the monic irreducible of
     degree m whose coefficient vector has the smallest integer encoding.
     For m = 1 the modulus is the polynomial y and plays no role.
+
+    The modulus need not be primitive (y has order 4 modulo y^2 + 1 over
+    GF(3)), so g is the primitive element of least encoding.  `exp` holds
+    g^k for 0 <= k < 2(q - 1), two periods, so a sum of two logarithms
+    indexes it without reduction; `log[0]` is None.  For odd p, `zech` holds
+    two periods too, with None where 1 + g^k = 0, so a difference of
+    logarithms indexes it directly (a negative index counts from the end,
+    which is the same residue mod q - 1).  `add` and `sub` are bound per
+    instance: XOR for p = 2, the Zech-logarithm methods otherwise.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "add_t", "sub_t", "mul_t",
-                 "inv_t", "neg_t")
+    __slots__ = ("p", "m", "q", "modulus", "exp", "log", "zech", "add", "sub",
+                 "_log_neg1")
 
     def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -66,9 +80,22 @@ class GF:
             self._check_modulus(modulus)
         self.modulus = modulus
 
-        self.add_t = self.sub_t = self.mul_t = self.inv_t = self.neg_t = None
-        if self.q <= _TABLE_MAX:
-            self._build_tables()
+        powers = self._powers_of_primitive()
+        self.exp = powers + powers
+        self.log = [None] * self.q
+        for k, a in enumerate(powers):
+            self.log[a] = k
+        self._log_neg1 = self.log[p - 1]          # -1 encodes as p - 1
+        if p == 2:
+            self.add = self.sub = operator.xor
+        else:
+            zech = [None] * (self.q - 1)
+            for k, a in enumerate(powers):
+                # 1 + a raises coordinate c_0 = a mod p by one, mod p
+                one_plus = a + 1 if a % p != p - 1 else a - (p - 1)
+                zech[k] = self.log[one_plus]
+            self.zech = zech + zech
+            self.add, self.sub = self._zech_add, self._zech_sub
 
     # -- construction helpers -------------------------------------------
 
@@ -98,127 +125,76 @@ class GF:
             if not poly.is_irreducible(base, modulus):
                 raise ValueError("modulus is reducible over GF(p)")
 
-    def _build_tables(self) -> None:
-        q = self.q
-        add = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
-        sub = [[self._sub_slow(a, b) for b in range(q)] for a in range(q)]
-        mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._inv_slow(a)
-        self.add_t, self.sub_t, self.mul_t, self.inv_t = add, sub, mul, inv
-        self.neg_t = [sub[0][a] for a in range(q)]
+    def _powers_of_primitive(self) -> list[int]:
+        """[g^0, ..., g^(q-2)] for the primitive element g of least encoding.
 
-    # -- slow (table-free) arithmetic ------------------------------------
+        Products are taken in the power basis: ints mod p for m = 1, and
+        poly.mul then poly.rem by the modulus over GF(p) otherwise.
+        """
+        p, m, q = self.p, self.m, self.q
+        if m == 1:
+            def times(a: int, g: int) -> int:
+                return a * g % p
+        else:
+            base = GF(p)
+            from . import poly
 
-    def _add_slow(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+            def times(a: int, g: int) -> int:
+                prod = poly.mul(base, _digits(a, p, m), _digits(g, p, m))
+                return self.from_coeffs(poly.rem(base, prod, self.modulus))
+        for g in range(1, q):
+            powers = [1]
+            a = g
+            while a != 1:
+                powers.append(a)
+                a = times(a, g)
+            if len(powers) == q - 1:
+                return powers
+        raise RuntimeError("no primitive element found")  # pragma: no cover
 
-    def _sub_slow(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a - b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += ((a - b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+    # -- arithmetic (add and sub are bound in __init__) -------------------
 
-    def _mul_slow(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        p, m = self.p, self.m
-        da = _digits(a, p, m)
-        db = _digits(b, p, m)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce mod the (monic) modulus
-        mod = self.modulus
-        for k in range(len(prod) - 1, m - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(m):
-                    prod[k - m + i] = (prod[k - m + i] - c * mod[i]) % p
-        out = 0
-        mult = 1
-        for i in range(m):
-            out += prod[i] * mult
-            mult *= p
-        return out
+    def _zech_add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self.log
+        i = log[a]
+        z = self.zech[log[b] - i]
+        return 0 if z is None else self.exp[i + z]
 
-    def _inv_slow(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inversion of zero field element")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        # a^(q-2) by square-and-multiply
-        result = 1
-        base = a
-        e = self.q - 2
-        while e:
-            if e & 1:
-                result = self._mul_slow(result, base)
-            base = self._mul_slow(base, base)
-            e >>= 1
-        return result
-
-    # -- public arithmetic ------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.add_t is not None:
-            return self.add_t[a][b]
-        return self._add_slow(a, b)
-
-    def sub(self, a: int, b: int) -> int:
-        if self.sub_t is not None:
-            return self.sub_t[a][b]
-        return self._sub_slow(a, b)
+    def _zech_sub(self, a: int, b: int) -> int:
+        if not b:
+            return a
+        log = self.log
+        j = log[b] + self._log_neg1                  # -b = g^j
+        if not a:
+            return self.exp[j]
+        i = log[a]
+        z = self.zech[j - i]
+        return 0 if z is None else self.exp[i + z]
 
     def neg(self, a: int) -> int:
-        if self.neg_t is not None:
-            return self.neg_t[a]
-        return self._sub_slow(0, a)
+        return self.exp[self.log[a] + self._log_neg1] if a else 0
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_t is not None:
-            return self.mul_t[a][b]
-        return self._mul_slow(a, b)
+        if a and b:
+            log = self.log
+            return self.exp[log[a] + log[b]]
+        return 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        if self.inv_t is not None:
-            return self.inv_t[a]
-        return self._inv_slow(a)
+        return self.exp[self.q - 1 - self.log[a]]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("negative power of zero field element")
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % (self.q - 1)]
 
     # -- element helpers --------------------------------------------------
 

@@ -123,12 +123,11 @@ def from_rows(gf, n: int, lam_cs, rows) -> FlatCode:
     return FlatCode(gf=gf, n=n, lam_cs=tuple(lam_cs), basis=basis, pivots=pivots)
 
 
-def span_ideal(g, check: bool = True) -> FlatCode:
+def span_ideal(g) -> FlatCode:
     """The ideal generated by an ambient element, as a flat subspace.
 
-    Spans the 4n words u^k * x^i * g.  With check=True (the default) the
-    result is verified to be closed under multiplication by u and by x;
-    failure would mean an arithmetic bug, never a property of the input.
+    Spans the 4n words u^k * x^i * g; check_constacyclic then confirms
+    that the result is closed, as an ideal must be.
     """
     gf, n = g.gf, g.n
     lam_cs = g.lam.cs
@@ -141,24 +140,23 @@ def span_ideal(g, check: bool = True) -> FlatCode:
             w = _mul_u_flat(w, n)
             rows.append(w)
         vec = _mul_x_flat(gf, vec, n, lam_cs)
-    fc = from_rows(gf, n, lam_cs, rows)
-    if check:
-        for row in fc.basis:
-            if not contains(fc, _mul_u_flat(row, n)):
-                raise AssertionError("span not closed under u-multiplication")
-            if not contains(fc, _mul_x_flat(gf, row, n, lam_cs)):
-                raise AssertionError("span not closed under the twisted shift")
-    return fc
+    return from_rows(gf, n, lam_cs, rows)
 
 
 def check_cardinality(rec) -> bool:
-    """Oracle rank equals the predicted size exponent."""
-    return span_ideal(rec.generator).dim == rec.log_q_size
+    """Oracle rank equals the predicted size exponent, and the span is closed."""
+    fc = span_ideal(rec.generator)
+    return fc.dim == rec.log_q_size and check_constacyclic(fc)
 
 
 def check_constacyclic(fc: FlatCode) -> bool:
-    """Closure of the subspace under the lam-twisted cyclic shift."""
-    return all(contains(fc, _mul_x_flat(fc.gf, row, fc.n, fc.lam_cs))
+    """Closure of the subspace under u and under the lam-twisted cyclic shift.
+
+    A span of u^k * x^i * g that fails is an arithmetic bug, never a
+    property of the input; it is reported as a failed check.
+    """
+    return all(contains(fc, _mul_u_flat(row, fc.n))
+               and contains(fc, _mul_x_flat(fc.gf, row, fc.n, fc.lam_cs))
                for row in fc.basis)
 
 
@@ -250,4 +248,4 @@ def check_self_dual(rec) -> bool:
         raise AmbientMismatchError(
             "self-duality requires a self-inverse ambient unit")
     fc = span_ideal(rec.generator)
-    return dual_span(fc).basis == fc.basis
+    return check_constacyclic(fc) and dual_span(fc).basis == fc.basis

@@ -234,6 +234,21 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     assert obj["constacyclic"] is False
 
 
+def test_unclosed_span_is_a_verification_failure(capsys, monkeypatch):
+    # an oracle span that loses a basis row is no longer an ideal: the closure
+    # check reports it as a failed check with exit 3, not as a traceback
+    from u4codes import oracle
+    rref = oracle.rref
+    monkeypatch.setattr(oracle, "rref", lambda gf, rows: tuple(
+        part[:-1] for part in rref(gf, rows)))
+    code, out, _ = run(capsys, "verify", *N7A, "--scope", "index",
+                       "--index", "1,2,3", "--json")
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["pass"] is False
+    assert obj["constacyclic"] is False
+
+
 def test_determinism_byte_identical(capsys):
     outputs = []
     for _ in range(2):

@@ -269,3 +269,27 @@ def test_from_json_rejects_an_idempotent_of_another_ambient(dec7):
     blob["factors"][2]["e"]["lambda"] = [1, 1, 1, 0]   # a unit, but not 1 + u^2
     with pytest.raises(ValueError):
         decomp_mod.from_json(blob)
+
+
+def _break_decomposition(blob, how):
+    """Spoil a consistent field of a decomposition's JSON in place."""
+    if how == "zeroed idempotent":
+        e = blob["factors"][1]["e"]
+        e["coeffs"] = [[0, 0, 0, 0] for _ in e["coeffs"]]
+    elif how == "tau not a permutation":
+        blob["tau"] = [0, 0, 0]
+    elif how == "rho disagrees with tau":
+        blob["rho"] += 1
+    elif how == "eps_pairs disagrees with tau":
+        blob["eps_pairs"] += 1
+
+
+@pytest.mark.parametrize("how", ["zeroed idempotent", "tau not a permutation",
+                                 "rho disagrees with tau", "eps_pairs disagrees with tau"])
+def test_from_json_rejects_an_inconsistent_decomposition(dec7, how):
+    # a zeroed e_2 used to load, and build_code(d, (0, 0, 0)) then claimed
+    # log_q_size 28 for a code the oracle spans in dimension 16
+    blob = decomp_mod.to_json(dec7)
+    _break_decomposition(blob, how)
+    with pytest.raises(ValueError):
+        decomp_mod.from_json(blob)

@@ -1,6 +1,6 @@
 import pytest
 
-from u4codes import GF
+from u4codes import GF, poly
 
 
 def test_rejects_composite_characteristic():
@@ -47,7 +47,8 @@ def test_encoding_bijection(gf8):
 
 
 def test_field_axioms_randomized(rng):
-    for gf in (GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2)):
+    for gf in (GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2),
+               GF(2, 10), GF(3, 6), GF(5, 4)):
         for _ in range(200):
             a = rng.randrange(gf.q)
             b = rng.randrange(gf.q)
@@ -67,15 +68,38 @@ def test_inversion_of_zero(gf3):
         gf3.inv(0)
 
 
-def test_slow_path_agrees_with_tables(rng):
+@pytest.mark.parametrize("p,m", [(3, 2), (2, 5), (5, 3)])
+def test_table_arithmetic_agrees_with_power_basis_polys(rng, p, m):
+    # the reference multiplies coordinate vectors as polynomials over GF(p)
+    # and reduces by the modulus; it adds them coordinate-wise mod p
+    gf, base = GF(p, m), GF(p)
+    assert all(base.mul(a, b) == a * b % p and base.add(a, b) == (a + b) % p
+               and base.sub(a, b) == (a - b) % p for a in range(p) for b in range(p))
+    for _ in range(300):
+        a, b = rng.randrange(gf.q), rng.randrange(gf.q)
+        ca, cb = gf.coeffs(a), gf.coeffs(b)
+        product = poly.rem(base, poly.mul(base, ca, cb), gf.modulus)
+        assert gf.mul(a, b) == gf.from_coeffs(product)
+        assert gf.add(a, b) == gf.from_coeffs(x + y for x, y in zip(ca, cb))
+        assert gf.sub(a, b) == gf.from_coeffs(x - y for x, y in zip(ca, cb))
+        assert gf.neg(b) == gf.sub(0, b)
+
+
+def test_non_primitive_modulus():
+    # y has order 4 modulo y^2 + 1 over GF(3), so the tables use another generator
     gf = GF(3, 2)
-    for _ in range(100):
-        a, b = rng.randrange(9), rng.randrange(9)
-        assert gf.mul(a, b) == gf._mul_slow(a, b)
-        assert gf.add(a, b) == gf._add_slow(a, b)
-        assert gf.sub(a, b) == gf._sub_slow(a, b)
-        if a:
-            assert gf.inv(a) == gf._inv_slow(a)
+    assert gf.modulus == (1, 0, 1)
+    assert gf.pow(3, 4) == 1
+    assert sorted(gf.exp[:8]) == list(range(1, 9))
+
+
+def test_pow_edge_cases(gf4):
+    assert gf4.pow(0, 0) == 1
+    assert gf4.pow(0, 5) == 0
+    assert gf4.pow(2, -1) == gf4.inv(2)
+    assert gf4.pow(2, 3) == 1
+    with pytest.raises(ZeroDivisionError):
+        gf4.pow(0, -1)
 
 
 def test_element_str():
