@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import poly
-from .chainring import (AmbientElement, RingElement, ambient_from_json,
-                        ambient_reciprocal, lam_of)
+from .chainring import AmbientElement, RingElement, ambient_reciprocal, lam_of
 from .errors import InternalError
 from .factor import DEFAULT_SEED, Factorization, factor_xn_minus_delta
 from .field import GF
@@ -161,14 +160,9 @@ def compute_decomposition(gf, n: int, delta: int, alpha: int,
     tau = compute_tau(d, seed=seed)
     rho = eps_pairs = None
     if delta == gf.inv(delta):
-        rho, eps_pairs = _involution_counts(tau)
+        rho = sum(1 for j, k in enumerate(tau) if j == k)
+        eps_pairs = (len(tau) - rho) // 2
     return replace(d, tau=tau, rho=rho, eps_pairs=eps_pairs)
-
-
-def _involution_counts(tau) -> tuple[int, int]:
-    """(rho, eps_pairs): the fixed points and 2-cycles of an involution."""
-    fixed = sum(1 for j, k in enumerate(tau) if j == k)
-    return fixed, (len(tau) - fixed) // 2
 
 
 def dual_decomposition(d: Decomposition, seed: int = DEFAULT_SEED) -> Decomposition:
@@ -245,46 +239,19 @@ def to_json(d: Decomposition) -> dict:
 
 
 def from_json(obj) -> Decomposition:
+    """Load a dump of to_json by recomputing it from its field, n, delta and alpha.
+
+    The dump must equal to_json of the recomputation (rearranged when it
+    says canonical), so every derived value it carries -- factors,
+    idempotents, omegas, tau, rho, eps_pairs -- is checked at once.
+    Factor order does not depend on the seed.
+    """
     fld = obj["field"]
     gf = GF(int(fld["p"]), int(fld["m"]), tuple(fld["modulus"]))
-    n = int(obj["n"])
-    delta = gf.check(int(obj["delta"]))
-    alpha = gf.check(int(obj["alpha"]))
-    lam = lam_of(gf, delta, alpha)
-    factors = []
-    for fo in obj["factors"]:
-        e = ambient_from_json(gf, fo["e"])
-        if e.n != n or e.lam != lam:
-            raise ValueError("an idempotent e does not lie in R[x]/(x^n - lambda) "
-                             "of the decomposition")
-        factors.append(FactorData(
-            f=poly.from_json(gf, fo["f"]), degree=int(fo["degree"]),
-            cofactor=poly.from_json(gf, fo["cofactor"]),
-            g=poly.from_json(gf, fo["g"]), h=poly.from_json(gf, fo["h"]),
-            idempotent=poly.from_json(gf, fo["idempotent"]),
-            e0=poly.from_json(gf, fo["e0"]), e1=poly.from_json(gf, fo["e1"]),
-            e=e, omega=poly.from_json(gf, fo["omega"]),
-            omega_inv=poly.from_json(gf, fo["omega_inv"])))
-    total = AmbientElement.zero(gf, n, lam)
-    for fd in factors:
-        total = total + fd.e
-    if total != AmbientElement.one(gf, n, lam):
-        raise ValueError("the idempotents e_j do not sum to 1")
-    tau = tuple(int(t) for t in obj["tau"])
-    if sorted(tau) != list(range(len(factors))):
-        raise ValueError(f"tau = {list(tau)} is not a permutation of the factor indices")
-    rho, eps_pairs = (None if obj.get(key) is None else int(obj[key])
-                      for key in ("rho", "eps_pairs"))
-    if rho is not None or eps_pairs is not None:
-        if any(tau[k] != j for j, k in enumerate(tau)):
-            raise ValueError("rho and eps_pairs are given but tau is not an involution")
-        fixed, pairs = _involution_counts(tau)
-        if rho not in (None, fixed) or eps_pairs not in (None, pairs):
-            raise ValueError(f"rho = {rho} and eps_pairs = {eps_pairs} disagree with tau, "
-                             f"which has {fixed} fixed points and {pairs} 2-cycles")
-    fact = Factorization(gf=gf, n=n, delta=delta,
-                         factors=tuple(fd.f for fd in factors))
-    return Decomposition(gf=gf, n=n, delta=delta, alpha=alpha,
-                         factorization=fact, factors=tuple(factors),
-                         tau=tau, rho=rho, eps_pairs=eps_pairs,
-                         canonical=bool(obj.get("canonical", False)))
+    d = compute_decomposition(gf, int(obj["n"]), int(obj["delta"]), int(obj["alpha"]))
+    if obj.get("canonical"):
+        d = canonical_rearrange(d)
+    if to_json(d) != obj:
+        raise ValueError("the decomposition differs from the one its field, n, delta "
+                         "and alpha determine")
+    return d

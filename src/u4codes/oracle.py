@@ -9,7 +9,9 @@ generators of the same ideal produce identical bases.
 Everything here is built directly on field arithmetic and flat vectors --
 deliberately sharing no ring or CRT machinery with the construction
 modules -- so that cardinality, shift-closure, orthogonality and
-self-duality checks are genuinely independent evidence.
+self-duality checks are genuinely independent evidence.  Orthogonality is
+one computation, dual_span; check_duality and check_self_dual compare its
+canonical basis with the claimed dual's.
 """
 
 from __future__ import annotations
@@ -160,71 +162,49 @@ def check_constacyclic(fc: FlatCode) -> bool:
                for row in fc.basis)
 
 
-def _inner_product_zero(gf, n: int, a, b) -> bool:
-    """Euclidean inner product over R of two flat words is zero."""
-    fadd = gf.add
-    acc = (0, 0, 0, 0)
-    for i in range(n):
-        base = 4 * i
-        pa = a[base:base + 4]
-        pb = b[base:base + 4]
-        if pa == (0, 0, 0, 0) or pb == (0, 0, 0, 0):
-            continue
-        t = _conv4(gf, pa, pb)
-        acc = (fadd(acc[0], t[0]), fadd(acc[1], t[1]),
-               fadd(acc[2], t[2]), fadd(acc[3], t[3]))
-    return acc == (0, 0, 0, 0)
-
-
 def check_duality(c: FlatCode, dualc: FlatCode) -> bool:
-    """dualc is exactly the Euclidean dual of c.
+    """dualc is exactly the Euclidean dual of c, a subspace closed under u.
 
-    All basis pairs must be orthogonal over R and the dimensions must be
-    complementary (together those force equality, not mere containment).
+    The dimensions must be complementary (|C| * |C^perp| = q^(4n) over a
+    finite chain ring), and dualc's canonical basis must equal dual_span(c)'s.
     """
     if c.n != dualc.n or c.gf != dualc.gf:
         raise AmbientMismatchError("duality check across different lengths or fields")
     if c.dim + dualc.dim != 4 * c.n:
         return False
-    return all(_inner_product_zero(c.gf, c.n, a, b)
-               for a in c.basis for b in dualc.basis)
+    return dual_span(c).basis == dualc.basis
+
+
+def _reverse_u(vec) -> list[int]:
+    """Reverse the four u-coordinates within each position."""
+    return [vec[i ^ 3] for i in range(len(vec))]   # column 4i + k <-> 4i + 3 - k
 
 
 def dual_span(fc: FlatCode) -> FlatCode:
-    """The Euclidean dual subspace, computed as a nullspace from scratch.
+    """The Euclidean dual subspace of fc, which must be closed under u.
 
-    For each basis word a, the condition sum_i a_i * b_i = 0 in R gives
-    four F_q-linear constraints on b (one per u-coordinate); the dual is
-    the common nullspace.  The defining unit of the dual ambient is the
-    inverse of fc's.
+    Coordinate t of <a, b> in R is the u^3-coordinate of <u^(3-t)*a, b>,
+    and u^(3-t)*a lies in fc again; the u^3-coordinate of <a, b> is the
+    F_q dot product of a with b's u-coordinates reversed in each position.
+    So the dual is that reversal applied to the F_q-nullspace of fc, read
+    off its echelon basis: one vector per free column.  The defining unit
+    of the dual ambient is the inverse of fc's.  check_constacyclic
+    confirms the closure this rests on.
     """
-    gf, n = fc.gf, fc.n
-    ncols = 4 * n
-    constraints = []
-    for row in fc.basis:
-        for t in range(4):
-            line = [0] * ncols
-            for i in range(n):
-                base = 4 * i
-                for l in range(4):
-                    k = t - l
-                    if 0 <= k <= 3:
-                        line[base + l] = row[base + k]
-            constraints.append(line)
-    cbasis, cpivots = rref(gf, constraints)
-    pivot_set = set(cpivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    gf, ncols = fc.gf, 4 * fc.n
     fneg = gf.neg
+    pivot_set = set(fc.pivots)
     null_rows = []
-    for fc_col in free_cols:
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
         vec = [0] * ncols
-        vec[fc_col] = 1
-        for row, pcol in zip(cbasis, cpivots):
-            if row[fc_col]:
-                vec[pcol] = fneg(row[fc_col])
-        null_rows.append(vec)
-    lam_inv = _ring_inv_cs(gf, fc.lam_cs)
-    return from_rows(gf, n, lam_inv, null_rows)
+        vec[free] = 1
+        for row, pcol in zip(fc.basis, fc.pivots):
+            if row[free]:
+                vec[pcol] = fneg(row[free])
+        null_rows.append(_reverse_u(vec))
+    return from_rows(gf, fc.n, _ring_inv_cs(gf, fc.lam_cs), null_rows)
 
 
 def _ring_inv_cs(gf, a):
@@ -248,4 +228,4 @@ def check_self_dual(rec) -> bool:
         raise AmbientMismatchError(
             "self-duality requires a self-inverse ambient unit")
     fc = span_ideal(rec.generator)
-    return check_constacyclic(fc) and dual_span(fc).basis == fc.basis
+    return check_constacyclic(fc) and check_duality(fc, fc)

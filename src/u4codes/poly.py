@@ -27,15 +27,6 @@ def deg(a) -> int | float:
     return len(a) - 1 if a else NEG_INF
 
 
-def lc(a) -> int:
-    """Leading coefficient (of a nonzero polynomial)."""
-    return a[-1]
-
-
-def const(c: int) -> tuple[int, ...]:
-    return (c,) if c else ()
-
-
 def x_pow(k: int) -> tuple[int, ...]:
     return (0,) * k + (1,)
 
@@ -167,14 +158,6 @@ def pow_mod(gf, base, e: int, modpoly) -> tuple[int, ...]:
         base = rem(gf, mul(gf, base, base), modpoly)
         e >>= 1
     return result
-
-
-def eval_at(gf, a, x: int) -> int:
-    out = 0
-    fadd, fmul = gf.add, gf.mul
-    for c in reversed(a):
-        out = fadd(fmul(out, x), c)
-    return out
 
 
 def is_irreducible(gf, f) -> bool:

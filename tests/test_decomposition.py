@@ -202,6 +202,13 @@ def test_json_round_trip_and_reverification(dec7):
     assert compute_tau(d2) == d2.tau
 
 
+def test_json_round_trip_of_a_canonical_decomposition(dec7):
+    cd = canonical_rearrange(dec7)
+    d2 = decomp_mod.from_json(json.loads(json.dumps(decomp_mod.to_json(cd))))
+    assert d2.canonical and d2.tau == cd.tau
+    assert [fd.e for fd in d2.factors] == [fd.e for fd in cd.factors]
+
+
 def test_idempotent_identities_in_the_big_quotient():
     # the same identities, checked directly mod (x^n - delta)^2
     for gf, n, delta, alpha in INSTANCES[:3]:
@@ -282,13 +289,19 @@ def _break_decomposition(blob, how):
         blob["rho"] += 1
     elif how == "eps_pairs disagrees with tau":
         blob["eps_pairs"] += 1
+    elif how == "flipped coordinate in two idempotents":
+        for fo in blob["factors"][1:]:
+            fo["e"]["coeffs"][0][0] ^= 1
 
 
 @pytest.mark.parametrize("how", ["zeroed idempotent", "tau not a permutation",
-                                 "rho disagrees with tau", "eps_pairs disagrees with tau"])
+                                 "rho disagrees with tau", "eps_pairs disagrees with tau",
+                                 "flipped coordinate in two idempotents"])
 def test_from_json_rejects_an_inconsistent_decomposition(dec7, how):
     # a zeroed e_2 used to load, and build_code(d, (0, 0, 0)) then claimed
-    # log_q_size 28 for a code the oracle spans in dimension 16
+    # log_q_size 28 for a code the oracle spans in dimension 16; flipping
+    # coordinate 0 of e_2 and e_3 keeps the sum 1, and build_code(d, (4, 0, 4))
+    # then claimed log_q_size 12 for a code of dimension 16
     blob = decomp_mod.to_json(dec7)
     _break_decomposition(blob, how)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from u4codes import (AmbientElement, AmbientMismatchError, RingElement,
+from u4codes import (GF, AmbientElement, AmbientMismatchError, RingElement,
                      build_code, check_cardinality, check_constacyclic,
                      check_duality, check_self_dual, compute_decomposition,
                      canonical_rearrange, dual_code, dual_span,
@@ -79,6 +79,34 @@ def test_dual_span_matches_theoretical_dual(dec7):
         dual = dual_code(dec7, idx)
         fc = span_ideal(rec.generator)
         assert dual_span(fc).basis == span_ideal(dual.generator).basis
+
+
+def _orthogonal_by_definition(gf, c, dualc):
+    """Complementary dimensions and a zero R-inner product on every basis pair."""
+    def inner(a, b):
+        total = RingElement.zero(gf)
+        for k in range(0, len(a), 4):
+            total = total + RingElement(gf, a[k:k + 4]) * RingElement(gf, b[k:k + 4])
+        return total
+    return (c.dim + dualc.dim == 4 * c.n
+            and all(inner(a, b).is_zero() for a in c.basis for b in dualc.basis))
+
+
+@pytest.mark.parametrize("p, m, n, delta, alpha", [
+    (2, 1, 7, 1, 1), (3, 1, 8, 2, 1), (2, 2, 3, 1, 2), (3, 2, 4, 2, 1)])
+def test_duality_agrees_with_its_definition(rng, p, m, n, delta, alpha):
+    gf = GF(p, m)
+    d = compute_decomposition(gf, n, delta, alpha)
+    outcomes = set()
+    for trial in range(8):
+        i = tuple(rng.randrange(5) for _ in range(d.r))
+        j = i if trial % 2 else tuple(rng.randrange(5) for _ in range(d.r))
+        c = span_ideal(build_code(d, i).generator)
+        dualc = span_ideal(dual_code(d, j).generator)
+        expected = _orthogonal_by_definition(gf, c, dualc)
+        assert check_duality(c, dualc) == expected, (i, j)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_self_orthogonality_of_a_self_dual_code(dec7):

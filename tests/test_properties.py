@@ -7,7 +7,8 @@ import functools
 
 import pytest
 
-from u4codes import GF, factor_xn_minus_delta, poly
+from u4codes import (GF, build_code, compute_decomposition, dual_span,
+                     factor_xn_minus_delta, poly, span_ideal)
 
 # every (p, m) with p <= 13 and q = p^m <= 2^12
 FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 13) if p ** m <= 2 ** 12]
@@ -44,6 +45,32 @@ def test_field_axioms_hypothesis():
         assert gf.pow(gf.add(a, b), gf.p) == gf.add(gf.pow(a, gf.p), gf.pow(b, gf.p))
 
     axioms()
+
+
+@functools.lru_cache(maxsize=None)
+def decomposition(pm, n, delta, alpha):
+    return compute_decomposition(field(*pm), n, delta, alpha)
+
+
+def test_dual_of_dual_and_complementary_dimensions_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]), st.data())
+    def dual_properties(pm, data):
+        gf = field(*pm)
+        n = data.draw(st.integers(1, 10).filter(lambda k: k % gf.p))
+        delta, alpha = (data.draw(st.integers(1, gf.q - 1)) for _ in range(2))
+        d = decomposition(pm, n, delta, alpha)
+        index = tuple(data.draw(st.lists(st.integers(0, 4), min_size=d.r, max_size=d.r)))
+        fc = span_ideal(build_code(d, index).generator)
+        dual = dual_span(fc)
+        # |C| * |C^perp| = q^(4n), and C^perp^perp = C
+        assert fc.dim + dual.dim == 4 * n
+        assert dual_span(dual).basis == fc.basis
+
+    dual_properties()
 
 
 # sympy's own sort of its factors compares modular integers, which it deprecates
