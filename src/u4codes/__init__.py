@@ -10,30 +10,25 @@ from .errors import (AmbientMismatchError, InternalError, InvalidIndexError,
                      NotAUnitError, NotCoprimeError, SelfDualUnsupportedError)
 from .field import GF
 from .factor import DEFAULT_SEED, Factorization, factor_xn_minus_delta
-from .chainring import (AmbientElement, BigQuotientElement, LocalElement,
-                        LocalRing, RingElement, ambient_reciprocal, lam_of,
-                        local_v_expansion, psi_inverse, psi_map)
+from .chainring import AmbientElement, RingElement, ambient_reciprocal, lam_of
 from .decomposition import (Decomposition, FactorData, canonical_rearrange,
-                            compute_decomposition, compute_tau,
-                            dual_decomposition, dual_params)
+                            compute_decomposition, compute_tau)
 from .codes import (CodeRecord, build_code, dual_code, enumerate_codes,
                     index_count, self_dual_codes, self_dual_indices,
                     validate_index)
-from .oracle import (FlatCode, check_cardinality, check_constacyclic,
-                     check_duality, check_self_dual, dual_span, span_ideal)
+from .oracle import (FlatCode, check_constacyclic, check_duality, check_self_dual,
+                     dual_span, span_ideal)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GF", "Factorization", "factor_xn_minus_delta", "DEFAULT_SEED",
-    "RingElement", "AmbientElement", "BigQuotientElement", "LocalRing",
-    "LocalElement", "lam_of", "psi_map", "psi_inverse", "ambient_reciprocal",
-    "local_v_expansion",
+    "RingElement", "AmbientElement", "lam_of", "ambient_reciprocal",
     "Decomposition", "FactorData", "compute_decomposition", "compute_tau",
-    "canonical_rearrange", "dual_decomposition", "dual_params",
+    "canonical_rearrange",
     "CodeRecord", "build_code", "enumerate_codes", "index_count",
     "dual_code", "self_dual_codes", "self_dual_indices", "validate_index",
-    "FlatCode", "span_ideal", "check_cardinality", "check_constacyclic",
+    "FlatCode", "span_ideal", "check_constacyclic",
     "check_duality", "check_self_dual", "dual_span",
     "NotCoprimeError", "NotAUnitError", "AmbientMismatchError",
     "InvalidIndexError", "SelfDualUnsupportedError", "InternalError",

@@ -1,24 +1,18 @@
-"""The chain ring R = GF(q)[u]/(u^4) and the quotient rings built on it.
+"""The chain ring R = GF(q)[u]/(u^4) and the constacyclic ambients over it.
 
-Four element types live here:
+Two element types live here:
 
 * RingElement      -- c0 + c1*u + c2*u^2 + c3*u^3, with u^4 = 0.
 * AmbientElement   -- an element of R[x]/(x^n - lam) for a unit lam of R,
                       stored flat in the oracle's layout (see the class);
                       the defining unit is carried on every value and any
                       operation mixing two ambients is a hard error.
-* BigQuotientElement -- xi0 + v*xi1 over GF(q)[x]/((x^n - delta)^2) with
-                      v^2 = alpha^(-1) * (x^n - delta).
-* LocalElement     -- a + v*b over GF(q)[x]/(f^2) with v^2 = omega * f for
-                      an irreducible f and a unit omega.
 
-psi_map / psi_inverse realize the coefficient-matrix isomorphism between
-the big quotient and the ambient with lam = delta + alpha*u^2 (it fixes
-x^i for i < n and sends v to u).  ambient_reciprocal is the substitution
-x -> x^(-1), an isomorphism onto the ambient with the inverse unit.
+ambient_reciprocal is the substitution x -> x^(-1), an isomorphism onto
+the ambient with the inverse unit.
 
-Coordinates are validated only where values enter (the constructors and
-ambient_from_json), never on results of arithmetic.
+Coordinates are validated only where values enter (the constructors),
+never on results of arithmetic.
 
 All values are immutable; operations are pure functions.
 """
@@ -150,21 +144,7 @@ def conv4(gf, a, b) -> tuple[int, int, int, int]:
 
 def ring_str(r: RingElement, poly_basis: bool = False) -> str:
     """Terms c*u^k in descending order, e.g. "u^2 + 1"."""
-    gf = r.gf
-    terms = []
-    for k in (3, 2, 1, 0):
-        c = r.cs[k]
-        if c == 0:
-            continue
-        cstr = gf.element_str(c, poly_basis=poly_basis)
-        if " + " in cstr:
-            cstr = f"({cstr})"
-        if k == 0:
-            terms.append(cstr)
-        else:
-            uk = "u" if k == 1 else f"u^{k}"
-            terms.append(uk if c == 1 else f"{cstr}*{uk}")
-    return " + ".join(terms) if terms else "0"
+    return poly.to_str(r.gf, poly.normalize(r.cs), var="u", poly_basis=poly_basis)
 
 
 def lam_of(gf, delta: int, alpha: int) -> RingElement:
@@ -318,12 +298,6 @@ class AmbientElement:
                 "coeffs": [list(self.coeff(i)) for i in range(self.n)]}
 
 
-def ambient_from_json(gf, obj) -> AmbientElement:
-    lam = RingElement(gf, [int(c) for c in obj["lambda"]])
-    coeffs = [[int(c) for c in cs] for cs in obj["coeffs"]]
-    return AmbientElement(gf, int(obj["n"]), lam, coeffs)
-
-
 def ambient_str(a: AmbientElement, poly_basis: bool = False) -> str:
     """Polynomial in x with parenthesized ring coefficients, descending."""
     terms = []
@@ -358,207 +332,3 @@ def ambient_reciprocal(a: AmbientElement) -> AmbientElement:
     for i in range(n - 1, 0, -1):
         flat.extend(conv4(gf, a.coeff(i), lam_cs))
     return a._with(flat, a.lam.inv())
-
-
-class BigQuotientElement:
-    """xi0 + v*xi1 with xi_i in GF(q)[x]/((x^n - delta)^2), v^2 = alpha^(-1)(x^n - delta)."""
-
-    __slots__ = ("gf", "n", "delta", "alpha", "xi0", "xi1")
-
-    def __init__(self, gf, n: int, delta: int, alpha: int, xi0, xi1=poly.ZERO):
-        gf.check(delta)
-        gf.check(alpha)
-        if delta == 0 or alpha == 0:
-            raise ValueError("delta and alpha must be units of the field")
-        self.gf = gf
-        self.n = n
-        self.delta = delta
-        self.alpha = alpha
-        modsq = _xn_minus_delta_sq(gf, n, delta)
-        self.xi0 = poly.rem(gf, poly.normalize(xi0), modsq)
-        self.xi1 = poly.rem(gf, poly.normalize(xi1), modsq)
-
-    @classmethod
-    def v(cls, gf, n: int, delta: int, alpha: int) -> "BigQuotientElement":
-        return cls(gf, n, delta, alpha, poly.ZERO, poly.ONE)
-
-    def _require_same(self, other) -> None:
-        if (self.gf, self.n, self.delta, self.alpha) != (
-                other.gf, other.n, other.delta, other.alpha):
-            raise AmbientMismatchError("mixing elements of different big quotients")
-
-    def __add__(self, other: "BigQuotientElement") -> "BigQuotientElement":
-        self._require_same(other)
-        return BigQuotientElement(self.gf, self.n, self.delta, self.alpha,
-                                  poly.add(self.gf, self.xi0, other.xi0),
-                                  poly.add(self.gf, self.xi1, other.xi1))
-
-    def __mul__(self, other: "BigQuotientElement") -> "BigQuotientElement":
-        self._require_same(other)
-        gf = self.gf
-        vsq = poly.scale(gf, poly.xn_minus_c(gf, self.n, self.delta),
-                         gf.inv(self.alpha))
-        lo = poly.add(gf, poly.mul(gf, self.xi0, other.xi0),
-                      poly.mul(gf, vsq, poly.mul(gf, self.xi1, other.xi1)))
-        hi = poly.add(gf, poly.mul(gf, self.xi0, other.xi1),
-                      poly.mul(gf, self.xi1, other.xi0))
-        return BigQuotientElement(gf, self.n, self.delta, self.alpha, lo, hi)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BigQuotientElement):
-            return NotImplemented
-        self._require_same(other)
-        return self.xi0 == other.xi0 and self.xi1 == other.xi1
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.delta, self.alpha, self.xi0, self.xi1))
-
-    def __repr__(self) -> str:
-        return f"BigQuotientElement(xi0={self.xi0}, xi1={self.xi1})"
-
-
-def _xn_minus_delta_sq(gf, n: int, delta: int) -> tuple[int, ...]:
-    # (x^n - delta)^2 = x^(2n) - 2*delta*x^n + delta^2
-    out = [0] * (2 * n + 1)
-    out[0] = gf.mul(delta, delta)
-    out[n] = gf.neg(gf.add(delta, delta))
-    out[2 * n] = 1
-    return tuple(out)
-
-
-def psi_map(b: BigQuotientElement) -> AmbientElement:
-    """The isomorphism onto R[x]/(x^n - (delta + alpha*u^2)).
-
-    Writes xi0 = a0 + alpha^(-1)(x^n - delta)*a2 and xi1 = a1 +
-    alpha^(-1)(x^n - delta)*a3 with deg(a_k) < n, and maps to
-    sum_k u^k * a_k(x).  It fixes x^i for i < n and sends v to u.
-    """
-    gf, n = b.gf, b.n
-    xnd = poly.xn_minus_c(gf, n, b.delta)
-    q0, a0 = poly.divrem(gf, b.xi0, xnd)
-    q1, a1 = poly.divrem(gf, b.xi1, xnd)
-    a2 = poly.scale(gf, q0, b.alpha)
-    a3 = poly.scale(gf, q1, b.alpha)
-    lam = lam_of(gf, b.delta, b.alpha)
-    return AmbientElement.from_polys(gf, n, lam, a0, a1, a2, a3)
-
-
-def psi_inverse(a: AmbientElement) -> BigQuotientElement:
-    """Inverse of psi_map; requires lam of the form delta + alpha*u^2."""
-    gf, n = a.gf, a.n
-    d, c1, alpha, c3 = a.lam.cs
-    if c1 != 0 or c3 != 0 or alpha == 0:
-        raise ValueError("ambient unit is not of the form delta + alpha*u^2")
-    comps = [poly.normalize(a.flat[k::4]) for k in range(4)]
-    xnd = poly.xn_minus_c(gf, n, d)
-    ai = gf.inv(alpha)
-    shift = poly.scale(gf, xnd, ai)
-    xi0 = poly.add(gf, comps[0], poly.mul(gf, shift, comps[2]))
-    xi1 = poly.add(gf, comps[1], poly.mul(gf, shift, comps[3]))
-    return BigQuotientElement(gf, n, d, alpha, xi0, xi1)
-
-
-class LocalRing:
-    """K + v*K where K = GF(q)[x]/(f^2), f irreducible, v^2 = omega*f.
-
-    omega must be a unit of K; its inverse is derived here so the ring is
-    self-contained.  v has nilpotency index exactly 4 and the ideals of
-    the ring form the chain generated by the powers of v.
-    """
-
-    __slots__ = ("gf", "f", "d", "fsq", "omega", "omega_inv")
-
-    def __init__(self, gf, f, omega):
-        self.gf = gf
-        self.f = poly.normalize(f)
-        self.d = len(self.f) - 1
-        self.fsq = poly.mul(gf, self.f, self.f)
-        self.omega = poly.rem(gf, poly.normalize(omega), self.fsq)
-        if len(poly.rem(gf, self.omega, self.f)) == 0:
-            raise NotAUnitError("omega is not a unit of GF(q)[x]/(f^2)")
-        g, s, _ = poly.ext_gcd(gf, self.omega, self.fsq)
-        if g != poly.ONE:
-            raise NotAUnitError("omega is not a unit of GF(q)[x]/(f^2)")
-        self.omega_inv = poly.rem(gf, s, self.fsq)
-
-    def element(self, a, b=poly.ZERO) -> "LocalElement":
-        return LocalElement(self, a, b)
-
-    def v(self) -> "LocalElement":
-        return LocalElement(self, poly.ZERO, poly.ONE)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LocalRing):
-            return NotImplemented
-        return (self.gf, self.f, self.omega) == (other.gf, other.f, other.omega)
-
-    def __hash__(self) -> int:
-        return hash((self.f, self.omega))
-
-
-class LocalElement:
-    """a(x) + v*b(x) with both coordinates kept reduced mod f^2."""
-
-    __slots__ = ("ring", "a", "b")
-
-    def __init__(self, ring: LocalRing, a, b=poly.ZERO):
-        gf = ring.gf
-        self.ring = ring
-        self.a = poly.rem(gf, poly.normalize(a), ring.fsq)
-        self.b = poly.rem(gf, poly.normalize(b), ring.fsq)
-
-    def _require_same(self, other) -> None:
-        if self.ring != other.ring:
-            raise AmbientMismatchError("mixing elements of different local rings")
-
-    def __add__(self, other: "LocalElement") -> "LocalElement":
-        self._require_same(other)
-        gf = self.ring.gf
-        return LocalElement(self.ring, poly.add(gf, self.a, other.a),
-                            poly.add(gf, self.b, other.b))
-
-    def __mul__(self, other: "LocalElement") -> "LocalElement":
-        self._require_same(other)
-        gf = self.ring.gf
-        vsq = poly.mul(gf, self.ring.omega, self.ring.f)
-        lo = poly.add(gf, poly.mul(gf, self.a, other.a),
-                      poly.mul(gf, vsq, poly.mul(gf, self.b, other.b)))
-        hi = poly.add(gf, poly.mul(gf, self.a, other.b),
-                      poly.mul(gf, self.b, other.a))
-        return LocalElement(self.ring, lo, hi)
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
-
-    def is_unit(self) -> bool:
-        return local_v_expansion(self)[0] != poly.ZERO
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LocalElement):
-            return NotImplemented
-        self._require_same(other)
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self) -> int:
-        return hash((self.ring.f, self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"LocalElement(a={self.a}, b={self.b})"
-
-
-def local_v_expansion(e: LocalElement):
-    """Unique (t0, t1, t2, t3), each of degree < deg(f), with
-    e = t0 + v*t1 + v^2*t2 + v^3*t3.
-
-    Obtained from the f-adic expansion of each coordinate and the relation
-    f = v^2 * omega^(-1); e is a unit exactly when t0 is nonzero.
-    """
-    ring = e.ring
-    gf = ring.gf
-    out = []
-    for xi in (e.a, e.b):
-        b1, b0 = poly.divrem(gf, xi, ring.f)
-        h = poly.rem(gf, poly.mul(gf, ring.omega_inv, b1), ring.f)
-        out.append((b0, h))
-    (t0, t2), (t1, t3) = out
-    return t0, t1, t2, t3

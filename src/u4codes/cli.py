@@ -23,7 +23,7 @@ from . import decomposition as decomp_mod
 from . import oracle, poly
 from .chainring import ambient_str, ring_str
 from .factor import DEFAULT_SEED, factor_xn_minus_delta
-from .field import GF
+from .field import GF, _digits
 
 SEED_ENV = "U4CODES_SEED"
 ENUM_CAP = 10 ** 6          # refuse full enumeration beyond this without --force
@@ -38,15 +38,10 @@ def _default_seed() -> int:
 
 
 def _modulus_from_int(p: int, m: int, value: int) -> tuple[int, ...]:
-    digits = []
-    v = value
-    while v:
-        digits.append(v % p)
-        v //= p
-    if len(digits) != m + 1:
+    if not p ** m <= value < p ** (m + 1):
         raise ValueError(
             f"--modulus {value} does not encode a degree-{m} polynomial over GF({p})")
-    return tuple(digits)
+    return _digits(value, p, m + 1)
 
 
 def _field(args) -> GF:

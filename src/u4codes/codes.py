@@ -35,9 +35,6 @@ class CodeRecord:
     def ambient_lambda(self) -> RingElement:
         return self.generator.lam
 
-    def size(self) -> int:
-        return self.generator.gf.q ** self.log_q_size
-
     def to_json(self, self_dual: bool | None = None) -> dict:
         obj = {
             "index": list(self.index),
@@ -86,10 +83,11 @@ def index_count(d: Decomposition) -> int:
     return 5 ** d.r
 
 
-def rank_to_index(d: Decomposition, rank: int) -> tuple[int, ...]:
-    """The rank-th exponent tuple in lexicographic order (l_1 most significant)."""
+def rank_to_index(rank: int, width: int) -> tuple[int, ...]:
+    """The rank-th exponent tuple of the given width in lexicographic order
+    (the first entry most significant): rank's base-5 digits."""
     out = []
-    for _ in range(d.r):
+    for _ in range(width):
         out.append(rank % 5)
         rank //= 5
     return tuple(reversed(out))
@@ -106,7 +104,7 @@ def enumerate_codes(d: Decomposition, start: int = 0,
         raise ValueError(f"start and limit must be >= 0, got {start} and {limit}")
     total = index_count(d)
     stop = total if limit is None else min(total, start + limit)
-    return (build_code(d, rank_to_index(d, rank)) for rank in range(start, stop))
+    return (build_code(d, rank_to_index(rank, d.r)) for rank in range(start, stop))
 
 
 def dual_code(d: Decomposition, idx) -> CodeRecord:
@@ -141,13 +139,8 @@ def self_dual_indices(d: Decomposition) -> Iterator[tuple[int, ...]]:
         raise ValueError("apply canonical_rearrange to the decomposition first")
     rho, eps = d.rho, d.eps_pairs
     for rank in range(5 ** eps):
-        mid = []
-        v = rank
-        for _ in range(eps):
-            mid.append(v % 5)
-            v //= 5
-        mid.reverse()
-        yield tuple([2] * rho + mid + [_MAX_EXP - l for l in mid])
+        mid = rank_to_index(rank, eps)
+        yield (2,) * rho + mid + tuple(_MAX_EXP - l for l in mid)
 
 
 def self_dual_codes(d: Decomposition) -> Iterator[CodeRecord]:

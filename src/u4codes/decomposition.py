@@ -12,9 +12,9 @@ For each monic irreducible factor f_j of x^n - delta this computes:
   ring with v^2 = omega_j*f_j.
 
 On top of the per-factor data sits the reciprocal permutation tau: the
-substitution x -> x^(-1) maps e_j onto one primitive idempotent of the
-ambient defined by the inverse unit, and matching images against that
-idempotent set pairs the factor indices.  When delta is its own inverse
+substitution x -> x^(-1) maps e_j onto the primitive idempotent of the
+ambient defined by the inverse unit at the monic reciprocal f_j* of f_j,
+so tau is read off the factor list alone.  When delta is its own inverse
 both ambients share one factorization, tau is an involution on {0..r-1},
 and the counts rho (fixed indices) and eps_pairs (swapped pairs) are
 defined; canonical_rearrange then reorders indices into the fixed / pair
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import poly
-from .chainring import AmbientElement, RingElement, ambient_reciprocal, lam_of
+from .chainring import AmbientElement, RingElement, lam_of
 from .errors import InternalError
 from .factor import DEFAULT_SEED, Factorization, factor_xn_minus_delta
 from .field import GF
@@ -56,7 +56,6 @@ class Decomposition:
     n: int
     delta: int
     alpha: int
-    factorization: Factorization
     factors: tuple[FactorData, ...]
     tau: tuple[int, ...]
     rho: int | None
@@ -70,18 +69,6 @@ class Decomposition:
     @property
     def lam(self) -> RingElement:
         return lam_of(self.gf, self.delta, self.alpha)
-
-    def ambient_one(self) -> AmbientElement:
-        return AmbientElement.one(self.gf, self.n, self.lam)
-
-    def ambient_zero(self) -> AmbientElement:
-        return AmbientElement.zero(self.gf, self.n, self.lam)
-
-
-def dual_params(gf, delta: int, alpha: int) -> tuple[int, int]:
-    """(delta', alpha') with (delta + alpha*u^2)^(-1) = delta' + alpha'*u^2."""
-    d_inv = gf.inv(delta)
-    return d_inv, gf.neg(gf.mul(alpha, gf.mul(d_inv, d_inv)))
 
 
 def _factor_data(gf, n: int, delta: int, alpha: int,
@@ -110,40 +97,24 @@ def _factor_data(gf, n: int, delta: int, alpha: int,
     return tuple(out)
 
 
-def _dual_idempotents(d: Decomposition, seed: int = DEFAULT_SEED):
-    """Primitive idempotents of R[x]/(x^n - lam^(-1)), in canonical factor order."""
-    gf = d.gf
-    d2, a2 = dual_params(gf, d.delta, d.alpha)
-    if (d2, a2) == (d.delta, d.alpha):
-        return [fd.e for fd in d.factors]
-    if d2 == d.delta:
-        # same factorization of x^n - delta; only the u^2-component rescales
-        lam2 = lam_of(gf, d2, a2)
-        scale = gf.mul(a2, gf.inv(d.alpha))
-        return [AmbientElement.from_polys(gf, d.n, lam2, fd.e0, poly.ZERO,
-                                          poly.scale(gf, fd.e1, scale), poly.ZERO)
-                for fd in d.factors]
-    fact2 = factor_xn_minus_delta(gf, d.n, d2, seed=seed)
-    return [fd.e for fd in _factor_data(gf, d.n, d2, a2, fact2)]
+def compute_tau(d: Decomposition) -> tuple[int, ...]:
+    """The index of the monic reciprocal f_j* of each factor f_j (0-based).
 
-
-def compute_tau(d: Decomposition, seed: int = DEFAULT_SEED) -> tuple[int, ...]:
-    """Match e_j(x^(-1)) against the idempotents of the inverse-unit ambient.
-
-    Returns the index permutation (0-based).  When delta is its own
-    inverse the two ambients share a factor list and the permutation is an
-    involution; in general it maps indices of this decomposition to
-    canonical indices of the dual one.
+    When delta is its own inverse the two ambients share d's factor list,
+    in d's order, and the permutation is an involution; otherwise it maps
+    indices of d to canonical indices of the inverse-unit decomposition.
     """
-    dual_es = _dual_idempotents(d, seed=seed)
-    tau = []
-    for fd in d.factors:
-        image = ambient_reciprocal(fd.e)
-        hit = [k for k, ek in enumerate(dual_es) if ek == image]
-        if len(hit) != 1:
-            raise InternalError("reciprocal image does not match a unique idempotent")
-        tau.append(hit[0])
-    return tuple(tau)
+    gf = d.gf
+    recips = [poly.monic(gf, tuple(reversed(fd.f))) for fd in d.factors]
+    if d.delta == gf.inv(d.delta):
+        target = [fd.f for fd in d.factors]
+    else:
+        target = sorted(recips, key=poly.canonical_key)
+    where = {f: k for k, f in enumerate(target)}
+    tau = tuple(where.get(f, -1) for f in recips)
+    if sorted(tau) != list(range(d.r)):
+        raise InternalError("the reciprocal factors do not permute the factor list")
+    return tau
 
 
 def compute_decomposition(gf, n: int, delta: int, alpha: int,
@@ -154,23 +125,14 @@ def compute_decomposition(gf, n: int, delta: int, alpha: int,
         raise ValueError("alpha must be a nonzero field element")
     fact = factor_xn_minus_delta(gf, n, delta, seed=seed)
     factors = _factor_data(gf, n, delta, alpha, fact)
-    d = Decomposition(gf=gf, n=n, delta=delta, alpha=alpha,
-                      factorization=fact, factors=factors,
+    d = Decomposition(gf=gf, n=n, delta=delta, alpha=alpha, factors=factors,
                       tau=(), rho=None, eps_pairs=None)
-    tau = compute_tau(d, seed=seed)
+    tau = compute_tau(d)
     rho = eps_pairs = None
     if delta == gf.inv(delta):
         rho = sum(1 for j, k in enumerate(tau) if j == k)
         eps_pairs = (len(tau) - rho) // 2
     return replace(d, tau=tau, rho=rho, eps_pairs=eps_pairs)
-
-
-def dual_decomposition(d: Decomposition, seed: int = DEFAULT_SEED) -> Decomposition:
-    """The decomposition of the inverse-unit ambient (d itself if identical)."""
-    d2, a2 = dual_params(d.gf, d.delta, d.alpha)
-    if (d2, a2) == (d.delta, d.alpha):
-        return d
-    return compute_decomposition(d.gf, d.n, d2, a2, seed=seed)
 
 
 def canonical_rearrange(d: Decomposition) -> Decomposition:
@@ -196,10 +158,7 @@ def canonical_rearrange(d: Decomposition) -> Decomposition:
     rho, eps = len(fixed), len(pairs)
     new_tau = list(range(rho)) + [rho + eps + i for i in range(eps)] \
         + [rho + i for i in range(eps)]
-    fact = Factorization(gf=d.gf, n=d.n, delta=d.delta,
-                         factors=tuple(d.factors[j].f for j in order))
     return Decomposition(gf=d.gf, n=d.n, delta=d.delta, alpha=d.alpha,
-                         factorization=fact,
                          factors=tuple(d.factors[j] for j in order),
                          tau=tuple(new_tau), rho=rho, eps_pairs=eps,
                          canonical=True)

@@ -41,20 +41,6 @@ class Factorization:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(f) - 1 for f in self.factors)
 
-    def product(self) -> tuple[int, ...]:
-        out = poly.ONE
-        for f in self.factors:
-            out = poly.mul(self.gf, out, f)
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "factors": [poly.to_json(f) for f in self.factors],
-            "degrees": list(self.degrees),
-        }
-
 
 def factor_xn_minus_delta(gf, n: int, delta: int, seed: int = DEFAULT_SEED) -> Factorization:
     """Factor x^n - delta into monic irreducibles over gf."""

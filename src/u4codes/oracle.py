@@ -47,11 +47,6 @@ def _conv4(gf, a, b):
     )
 
 
-def flatten_ambient(a) -> tuple[int, ...]:
-    """The length-4n coordinate vector, which ambient elements store as is."""
-    return a.flat
-
-
 def _mul_u_flat(vec, n: int) -> tuple[int, ...]:
     out = list(vec)
     for i in range(n):
@@ -134,7 +129,7 @@ def span_ideal(g) -> FlatCode:
     gf, n = g.gf, g.n
     lam_cs = g.lam.cs
     rows = []
-    vec = flatten_ambient(g)
+    vec = g.flat
     for _ in range(n):
         w = vec
         rows.append(w)
@@ -143,12 +138,6 @@ def span_ideal(g) -> FlatCode:
             rows.append(w)
         vec = _mul_x_flat(gf, vec, n, lam_cs)
     return from_rows(gf, n, lam_cs, rows)
-
-
-def check_cardinality(rec) -> bool:
-    """Oracle rank equals the predicted size exponent, and the span is closed."""
-    fc = span_ideal(rec.generator)
-    return fc.dim == rec.log_q_size and check_constacyclic(fc)
 
 
 def check_constacyclic(fc: FlatCode) -> bool:

@@ -221,7 +221,3 @@ def to_str(gf, a, var: str = "x", poly_basis: bool = False) -> str:
 
 def to_json(a) -> dict:
     return {"coeffs": list(a)}
-
-
-def from_json(gf, obj) -> tuple[int, ...]:
-    return normalize(gf.check(int(c)) for c in obj["coeffs"])

@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -70,17 +71,17 @@ def test_idempotents_text(capsys):
 
 
 def test_idempotents_json_round_trips(capsys):
-    from u4codes import compute_tau, decomposition as decomp_mod
+    from u4codes import AmbientElement, compute_tau, decomposition as decomp_mod
     code, out, _ = run(capsys, "idempotents", *N7A, "--json")
     assert code == 0
     obj = json.loads(out)
     jsonschema.validate(obj, load_schema("decomposition.schema.json"))
     d = decomp_mod.from_json(obj)
-    total = d.ambient_zero()
+    total = AmbientElement.zero(d.gf, d.n, d.lam)
     for fd in d.factors:
         total = total + fd.e
         assert fd.e * fd.e == fd.e
-    assert total == d.ambient_one()
+    assert total == AmbientElement.one(d.gf, d.n, d.lam)
     assert compute_tau(d) == d.tau
 
 
@@ -223,6 +224,16 @@ def test_explicit_modulus_and_field_display(capsys):
     assert code == 2   # 6 encodes y^2 + y, not monic-irreducible material
 
 
+@pytest.mark.parametrize("modulus", ["-7", "0", "3", "8"])
+def test_modulus_outside_degree_m_is_a_validation_error(capsys, modulus):
+    # a degree-2 modulus over GF(2) is an integer in [4, 8)
+    code, out, err = run(capsys, "factor", "--p", "2", "--m", "2", "--modulus", modulus,
+                         "--n", "3", "--delta", "1")
+    assert code == 2
+    assert out == ""
+    assert "does not encode a degree-2 polynomial" in err
+
+
 def test_verify_failure_exits_3(capsys, monkeypatch):
     from u4codes import oracle
     monkeypatch.setattr(oracle, "check_constacyclic", lambda fc: False)
@@ -272,3 +283,34 @@ def test_seed_env_var(monkeypatch, capsys):
     code, out, _ = run(capsys, "factor", *N7, "--json")
     assert code == 0
     assert json.loads(out)["seed"] == 4242
+
+
+def test_every_exported_name_is_reachable_from_main():
+    # the runtime keeps only what the CLI needs: every public name lies in the
+    # closure of module-level names that cli.main reaches across the package;
+    # class bodies count whole and names are keyed bare, so the closure may
+    # over-approximate but never misses a use
+    import u4codes
+    defs = {}
+    for path in Path(u4codes.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defs.setdefault(target.id, []).append(node)
+    reached, todo = set(), ["main"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in defs.get(name, ()):
+            for sub in ast.walk(node):
+                ref = (sub.id if isinstance(sub, ast.Name)
+                       else sub.attr if isinstance(sub, ast.Attribute) else None)
+                if ref in defs:
+                    todo.append(ref)
+    assert sorted(set(u4codes.__all__) - reached) == []

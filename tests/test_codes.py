@@ -2,11 +2,11 @@ import pytest
 
 from u4codes import (GF, AmbientElement, InvalidIndexError, RingElement,
                      SelfDualUnsupportedError, ambient_reciprocal, build_code,
-                     canonical_rearrange,
-                     compute_decomposition, dual_code, dual_decomposition,
+                     canonical_rearrange, compute_decomposition, dual_code,
                      enumerate_codes, index_count, self_dual_codes,
                      self_dual_indices, span_ideal)
 from golden import SELF_DUAL_GENERATORS, ambient_coeff_tuples
+from theory import dual_decomposition
 
 
 def test_generator_u2(dec7):
@@ -19,7 +19,7 @@ def test_generator_u2(dec7):
 
 def test_whole_ring_and_zero_code(dec7):
     whole = build_code(dec7, (0, 0, 0))
-    assert whole.generator == dec7.ambient_one()
+    assert whole.generator == AmbientElement.one(dec7.gf, 7, dec7.lam)
     assert whole.log_q_size == 4 * 7
     zero = build_code(dec7, (4, 4, 4))
     assert zero.generator.is_zero()
@@ -63,7 +63,7 @@ def test_single_factor_sizes(gf4):
     d = compute_decomposition(gf4, 1, 1, 2)
     recs = list(enumerate_codes(d))
     assert [r.log_q_size for r in recs] == [4, 3, 2, 1, 0]
-    assert [r.size() for r in recs] == [256, 64, 16, 4, 1]
+    assert [gf4.q ** r.log_q_size for r in recs] == [256, 64, 16, 4, 1]
 
 
 def test_tau_map_on_idempotents(dec7):

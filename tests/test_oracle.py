@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from u4codes import (GF, AmbientElement, AmbientMismatchError, RingElement,
-                     build_code, check_cardinality, check_constacyclic,
+                     build_code, check_constacyclic,
                      check_duality, check_self_dual, compute_decomposition,
                      canonical_rearrange, dual_code, dual_span,
                      enumerate_codes, lam_of, self_dual_codes, span_ideal)
@@ -25,7 +25,8 @@ def test_span_of_u2(dec7):
 
 def test_cardinality_all_125(dec7):
     for rec in enumerate_codes(dec7):
-        assert check_cardinality(rec)
+        fc = span_ideal(rec.generator)
+        assert fc.dim == rec.log_q_size and check_constacyclic(fc)
 
 
 def test_echelon_basis_is_canonical(dec7):
@@ -148,10 +149,9 @@ def test_flatten_convention(gf2):
     # coordinate (i, k) lands in column 4*i + k
     lam = lam_of(gf2, 1, 1)
     a = AmbientElement.from_ring_scalar(gf2, 3, lam, RingElement.u_pow(gf2, 2))
-    flat = oracle.flatten_ambient(a)
-    assert flat == (0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+    assert a.flat == (0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     b = AmbientElement.x_pow(gf2, 3, lam, 1)
-    assert oracle.flatten_ambient(b) == (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+    assert b.flat == (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_oracle_imports_no_construction_module():

@@ -7,8 +7,9 @@ import functools
 
 import pytest
 
-from u4codes import (GF, build_code, compute_decomposition, dual_span,
-                     factor_xn_minus_delta, poly, span_ideal)
+from u4codes import (GF, ambient_reciprocal, build_code, compute_decomposition,
+                     dual_span, factor_xn_minus_delta, poly, span_ideal)
+from theory import dual_decomposition
 
 # every (p, m) with p <= 13 and q = p^m <= 2^12
 FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 13) if p ** m <= 2 ** 12]
@@ -71,6 +72,27 @@ def test_dual_of_dual_and_complementary_dimensions_hypothesis():
         assert dual_span(dual).basis == fc.basis
 
     dual_properties()
+
+
+def test_reciprocal_idempotents_are_the_dual_idempotents_at_tau_hypothesis():
+    # e_j(x^(-1)) is the primitive idempotent of the inverse-unit ambient at
+    # the monic reciprocal of f_j, which is where tau points
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]),
+                      st.data())
+    def reciprocal_pairing(pm, data):
+        gf = field(*pm)
+        n = data.draw(st.integers(1, 24).filter(lambda k: k % gf.p))
+        delta, alpha = (data.draw(st.integers(1, gf.q - 1)) for _ in range(2))
+        d = decomposition(pm, n, delta, alpha)
+        dd = dual_decomposition(d)
+        for j, fd in enumerate(d.factors):
+            assert ambient_reciprocal(fd.e) == dd.factors[d.tau[j]].e
+
+    reciprocal_pairing()
 
 
 # sympy's own sort of its factors compares modular integers, which it deprecates
