@@ -193,17 +193,6 @@ class AmbientElement:
         coeffs[k] = r
         return cls(gf, n, lam, coeffs)
 
-    @classmethod
-    def from_polys(cls, gf, n: int, lam: RingElement, a0, a1=poly.ZERO,
-                   a2=poly.ZERO, a3=poly.ZERO) -> "AmbientElement":
-        """a0(x) + u*a1(x) + u^2*a2(x) + u^3*a3(x), each a_k of degree < n."""
-        parts = (a0, a1, a2, a3)
-        for a in parts:
-            if len(a) > n:
-                raise ValueError("component degree must be below n")
-        return cls(gf, n, lam, [[a[i] if i < len(a) else 0 for a in parts]
-                                for i in range(n)])
-
     # -- ambient discipline -------------------------------------------------
 
     def same_ambient(self, other: "AmbientElement") -> bool:

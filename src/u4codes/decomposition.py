@@ -75,7 +75,7 @@ def _factor_data(gf, n: int, delta: int, alpha: int,
                  fact: Factorization) -> tuple[FactorData, ...]:
     xnd = poly.xn_minus_c(gf, n, delta)
     modsq = poly.mul(gf, xnd, xnd)
-    lam = lam_of(gf, delta, alpha)
+    ambient = AmbientElement.zero(gf, n, lam_of(gf, delta, alpha))
     alpha_inv = gf.inv(alpha)
     out = []
     for f in fact.factors:
@@ -88,7 +88,10 @@ def _factor_data(gf, n: int, delta: int, alpha: int,
         eps = poly.rem(gf, poly.mul(gf, g, cofsq), modsq)
         q_, e0 = poly.divrem(gf, eps, xnd)
         e1 = poly.scale(gf, q_, alpha)
-        e = AmbientElement.from_polys(gf, n, lam, e0, poly.ZERO, e1, poly.ZERO)
+        flat = [0] * (4 * n)      # e0 and e1 are field elements of degree < n
+        flat[0:4 * len(e0):4] = e0
+        flat[2:4 * len(e1):4] = e1
+        e = ambient._with(flat)
         omega = poly.rem(gf, poly.scale(gf, cof, alpha_inv), fsq)
         omega_inv = poly.rem(gf, poly.scale(gf, poly.mul(gf, g, cof), alpha), fsq)
         out.append(FactorData(f=f, degree=len(f) - 1, cofactor=cof, g=g, h=h,

@@ -116,3 +116,109 @@ def test_canonical_key_orders_by_degree_then_encoding():
     # x^3 + x + 1 sorts before x^3 + x^2 + 1
     assert poly.canonical_key((1, 1, 0, 1)) < poly.canonical_key((1, 0, 1, 1))
     assert poly.canonical_key((1, 1)) < poly.canonical_key((1, 1, 0, 1))
+
+
+# -- the packed prime-field kernels against a schoolbook on ints mod p ----------
+
+
+def school_mul(p, a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return poly.normalize(out)
+
+
+def school_divrem(p, a, b):
+    db = len(b) - 1
+    rem, quot = list(a), [0] * max(len(a) - db, 0)
+    inv = pow(b[-1], -1, p)
+    for k in range(len(a) - 1, db - 1, -1):
+        f = quot[k - db] = rem[k] * inv % p
+        for i, y in enumerate(b):
+            rem[k - db + i] = (rem[k - db + i] - f * y) % p
+    return poly.normalize(quot), poly.normalize(rem)
+
+
+PRIMES = (2, 3, 5, 7, 251)
+# the shorter operand's length on both sides of each change of lane width:
+# a lane of a product sums up to that many products of at most (p - 1)^2
+MUL_EDGES = {2: (255, 256), 3: (63, 64), 5: (15, 16), 7: (7, 8), 251: (1, 2)}
+
+
+def full(p, length):
+    """The polynomial whose coefficients are all p - 1: the largest lane sums."""
+    return (p - 1,) * length
+
+
+def of_length(p, rng, length):
+    """A random polynomial with exactly length coefficients."""
+    return tuple(rng.randrange(p) for _ in range(length - 1)) + (rng.randrange(1, p),) \
+        if length else ()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_mul_matches_schoolbook_at_lane_edges(p, rng):
+    gf = GF(p)
+    for k in MUL_EDGES[p]:
+        for a, b in ((full(p, k), full(p, k)), (full(p, k), full(p, k + 40)),
+                     (full(p, k + 9), full(p, k))):
+            assert poly.mul(gf, a, b) == school_mul(p, a, b), (p, len(a), len(b))
+        a = of_length(p, rng, k)
+        assert poly.mul(gf, a, a) == school_mul(p, a, a)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_divrem_matches_schoolbook_at_lane_edges(p, rng):
+    # quotient all ones over a divisor all p - 1: every step clears with
+    # (p - 1) * (p - 1) added to each of min(steps, len b) lanes
+    gf = GF(p)
+    for k in MUL_EDGES[p]:
+        for steps, lb in ((k, k), (k + 30, k), (k, k + 30), (300, 3)):
+            b = full(p, lb)
+            r = of_length(p, rng, rng.randrange(lb))
+            a = poly.add(gf, poly.mul(gf, (1,) * steps, b), r)
+            assert poly.divrem(gf, a, b) == school_divrem(p, a, b) == ((1,) * steps, r)
+
+
+def test_packed_divrem_more_than_255_steps_p2(rng):
+    gf = GF(2)
+    for lb in (1, 2, 200, 255, 256, 257):
+        b = of_length(2, rng, lb)
+        a = of_length(2, rng, 600)
+        assert poly.divrem(gf, a, b) == school_divrem(2, a, b)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_divrem_by_sparse_xn_minus_delta(p, rng):
+    gf = GF(p)
+    for n in (1, 63, 64, 255, 256):
+        for delta in {1, p - 1}:
+            b = poly.xn_minus_c(gf, n, delta)
+            a = of_length(p, rng, 2 * n)
+            assert poly.divrem(gf, a, b) == school_divrem(p, a, b)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_kernels_on_empty_and_constant_operands(p, rng):
+    gf = GF(p)
+    a = of_length(p, rng, 30)
+    c = (p - 1,)
+    for x, y in ((), a), (a, ()), ((), ()), (c, a), (a, c), (c, c), ((1,), a):
+        assert poly.mul(gf, x, y) == school_mul(p, x, y)
+    for x, y in ((), a), ((), c), (a, c), (c, c), (c, a), (a, (1,)):
+        assert poly.divrem(gf, x, y) == school_divrem(p, x, y)
+    for x in ((), c, a):
+        with pytest.raises(ZeroDivisionError):
+            poly.divrem(gf, x, ())
+
+
+@pytest.mark.parametrize("p", (65537, 2 ** 61 - 1))
+def test_packed_kernels_with_eight_byte_and_wider_lanes(p, rng):
+    # a field this large has no tables, but the kernels take p alone: 65537
+    # needs 8-byte lanes, 2^61 - 1 lanes wider than any array item
+    a = [rng.randrange(p) for _ in range(40)] + [p - 1]
+    b = [rng.randrange(p) for _ in range(17)] + [p - 2]
+    assert poly.normalize(poly._mul_packed(p, a, b)) == school_mul(p, a, b)
+    quot, rem = poly._divrem_packed(p, pow(p - 2, -1, p), a, b)
+    assert (poly.normalize(quot), poly.normalize(rem)) == school_divrem(p, a, b)

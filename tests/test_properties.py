@@ -100,10 +100,13 @@ def test_reciprocal_idempotents_are_the_dual_idempotents_at_tau_hypothesis():
 def test_factorization_matches_sympy(rng):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
+    cases = []
     for _ in range(25):
         p = rng.choice((2, 3, 5, 7))
-        n = rng.choice([k for k in range(1, 61) if k % p])
-        delta = rng.randrange(1, p)
+        cases.append((p, rng.choice([k for k in range(1, 61) if k % p]), rng.randrange(1, p)))
+    # larger sets, whose products run on 2-byte lanes at p = 3 and 5
+    cases += [(2, 255, 1), (3, 242, 2), (5, 124, 2)]
+    for p, n, delta in cases:
         gf = field(p, 1)
         _, pairs = sympy.factor_list(x ** n - delta, modulus=p)
         expected = []

@@ -11,6 +11,8 @@ are the paper's route to them, used as independent reference:
 * LocalRing / LocalElement -- a + v*b over GF(q)[x]/(f^2) with v^2 =
                         omega * f for an irreducible f and a unit omega.
 * dual_decomposition -- the decomposition of the inverse-unit ambient.
+* ambient_from_polys -- a0(x) + u*a1(x) + u^2*a2(x) + u^3*a3(x) as an
+                        ambient element, validated.
 """
 
 from __future__ import annotations
@@ -22,6 +24,16 @@ def dual_decomposition(d):
     """The decomposition of R[x]/(x^n - lam^(-1)), in its canonical order."""
     delta2, _, alpha2, _ = d.lam.inv().cs
     return compute_decomposition(d.gf, d.n, delta2, alpha2)
+
+
+def ambient_from_polys(gf, n: int, lam, a0, a1, a2, a3) -> AmbientElement:
+    """a0(x) + u*a1(x) + u^2*a2(x) + u^3*a3(x), each a_k of degree < n."""
+    parts = (a0, a1, a2, a3)
+    for a in parts:
+        if len(a) > n:
+            raise ValueError("component degree must be below n")
+    return AmbientElement(gf, n, lam, [[a[i] if i < len(a) else 0 for a in parts]
+                                       for i in range(n)])
 
 
 # -- the big quotient and psi ----------------------------------------------------
@@ -86,7 +98,7 @@ def psi_map(b: BigQuotientElement) -> AmbientElement:
     a2 = poly.scale(gf, q0, b.alpha)
     a3 = poly.scale(gf, q1, b.alpha)
     lam = lam_of(gf, b.delta, b.alpha)
-    return AmbientElement.from_polys(gf, n, lam, a0, a1, a2, a3)
+    return ambient_from_polys(gf, n, lam, a0, a1, a2, a3)
 
 
 def psi_inverse(a: AmbientElement) -> BigQuotientElement:
