@@ -9,7 +9,7 @@ self-dual family.
 from .errors import (AmbientMismatchError, InternalError, InvalidIndexError,
                      NotAUnitError, NotCoprimeError, SelfDualUnsupportedError)
 from .field import GF
-from .factor import DEFAULT_SEED, Factorization, factor_xn_minus_delta
+from .factor import DEFAULT_SEED, factor_xn_minus_delta
 from .chainring import AmbientElement, RingElement, ambient_reciprocal, lam_of
 from .decomposition import (Decomposition, FactorData, canonical_rearrange,
                             compute_decomposition, compute_tau)
@@ -22,7 +22,7 @@ from .oracle import (FlatCode, check_constacyclic, check_duality, check_self_dua
 __version__ = "0.1.0"
 
 __all__ = [
-    "GF", "Factorization", "factor_xn_minus_delta", "DEFAULT_SEED",
+    "GF", "factor_xn_minus_delta", "DEFAULT_SEED",
     "RingElement", "AmbientElement", "lam_of", "ambient_reciprocal",
     "Decomposition", "FactorData", "compute_decomposition", "compute_tau",
     "canonical_rearrange",

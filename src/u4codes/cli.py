@@ -85,18 +85,18 @@ def _record_text(rec, gf, pb: bool) -> str:
 def cmd_factor(args) -> int:
     gf = _field(args)
     delta = _unit(gf, args.delta, "delta")
-    fact = factor_xn_minus_delta(gf, args.n, delta, seed=args.seed)
+    factors = factor_xn_minus_delta(gf, args.n, delta, seed=args.seed)
     pb = args.field_display
     if args.json:
         obj = {"p": gf.p, "m": gf.m, "modulus": list(gf.modulus),
-               "n": fact.n, "delta": fact.delta, "seed": args.seed,
-               "count": fact.r, "factors": [
-                   {"coeffs": list(f), "degree": len(f) - 1} for f in fact.factors]}
+               "n": args.n, "delta": delta, "seed": args.seed,
+               "count": len(factors), "factors": [
+                   {"coeffs": list(f), "degree": len(f) - 1} for f in factors]}
         _emit_json(obj)
     else:
         dstr = gf.element_str(delta, poly_basis=pb)
-        print(f"x^{fact.n} - {dstr} over GF({gf.q}): {fact.r} irreducible factors")
-        for j, f in enumerate(fact.factors, start=1):
+        print(f"x^{args.n} - {dstr} over GF({gf.q}): {len(factors)} irreducible factors")
+        for j, f in enumerate(factors, start=1):
             print(f"  f{j} = {poly.to_str(gf, f, poly_basis=pb)}")
     return 0
 
@@ -138,7 +138,7 @@ def cmd_codes(args) -> int:
     d = _decomposition(args)
     pb = args.field_display
     if args.index is not None:
-        idx = codes_mod.validate_index(d, _parse_index(args.index))
+        idx = _parse_index(args.index)
         rec = codes_mod.build_code(d, idx)
         dual = codes_mod.dual_code(d, idx)
         if args.json:
@@ -166,8 +166,7 @@ def cmd_dual(args) -> int:
     if args.index is None:
         raise ValueError("dual requires --index")
     d = _decomposition(args)
-    idx = codes_mod.validate_index(d, _parse_index(args.index))
-    dual = codes_mod.dual_code(d, idx)
+    dual = codes_mod.dual_code(d, _parse_index(args.index))
     if args.json:
         _emit_json({"dual": dual.to_json(), "log_q_product": 4 * d.n})
     else:
@@ -194,15 +193,14 @@ def cmd_selfdual(args) -> int:
 
 def cmd_verify(args) -> int:
     d = _decomposition(args)
-    if 4 * d.n > args.warn_dim:
+    if 4 * d.n > ORACLE_DIM_WARN:
         print(f"warning: oracle works in dimension {4 * d.n}; this may be slow",
               file=sys.stderr)
     t0 = time.perf_counter()
     if args.scope == "index":
         if args.index is None:
             raise ValueError("verify --scope index requires --index")
-        idx = codes_mod.validate_index(d, _parse_index(args.index))
-        report = _verify_one(d, codes_mod.build_code(d, idx))
+        report = _verify_one(d, codes_mod.build_code(d, _parse_index(args.index)))
     elif args.scope == "selfdual":
         report = _verify_selfdual(d)
     else:
@@ -325,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--start", type=int, default=0)
     p_ver.add_argument("--limit", type=int, default=None)
     p_ver.add_argument("--force", action="store_true")
-    p_ver.add_argument("--warn-dim", type=int, default=ORACLE_DIM_WARN,
-                       help="warn when the oracle dimension 4n exceeds this")
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -18,6 +18,7 @@ from typing import Iterator
 from .chainring import AmbientElement, RingElement, ambient_reciprocal
 from .decomposition import Decomposition
 from .errors import InvalidIndexError, SelfDualUnsupportedError
+from .field import _digits
 
 # Powers of u as exponents run 0..4; u^4 = 0 kills the component.
 _MAX_EXP = 4
@@ -86,11 +87,7 @@ def index_count(d: Decomposition) -> int:
 def rank_to_index(rank: int, width: int) -> tuple[int, ...]:
     """The rank-th exponent tuple of the given width in lexicographic order
     (the first entry most significant): rank's base-5 digits."""
-    out = []
-    for _ in range(width):
-        out.append(rank % 5)
-        rank //= 5
-    return tuple(reversed(out))
+    return _digits(rank, 5, width)[::-1]
 
 
 def enumerate_codes(d: Decomposition, start: int = 0,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from . import poly
 from .chainring import AmbientElement, RingElement, lam_of
 from .errors import InternalError
-from .factor import DEFAULT_SEED, Factorization, factor_xn_minus_delta
+from .factor import DEFAULT_SEED, factor_xn_minus_delta
 from .field import GF
 
 
@@ -71,21 +71,21 @@ class Decomposition:
         return lam_of(self.gf, self.delta, self.alpha)
 
 
-def _factor_data(gf, n: int, delta: int, alpha: int,
-                 fact: Factorization) -> tuple[FactorData, ...]:
+def _factor_data(gf, n: int, delta: int, alpha: int, factors) -> tuple[FactorData, ...]:
     xnd = poly.xn_minus_c(gf, n, delta)
-    modsq = poly.mul(gf, xnd, xnd)
     ambient = AmbientElement.zero(gf, n, lam_of(gf, delta, alpha))
     alpha_inv = gf.inv(alpha)
     out = []
-    for f in fact.factors:
+    for f in factors:
         cof = poly.quo(gf, xnd, f)
         fsq = poly.mul(gf, f, f)
         cofsq = poly.mul(gf, cof, cof)
         g1, g, h = poly.ext_gcd(gf, cofsq, fsq)
         if g1 != poly.ONE:
             raise InternalError("cofactor^2 and f^2 are not coprime")
-        eps = poly.rem(gf, poly.mul(gf, g, cofsq), modsq)
+        # Euclid keeps deg g < deg f^2, so deg(g*F^2) < 2n: already reduced
+        # mod (x^n - delta)^2
+        eps = poly.mul(gf, g, cofsq)
         q_, e0 = poly.divrem(gf, eps, xnd)
         e1 = poly.scale(gf, q_, alpha)
         flat = [0] * (4 * n)      # e0 and e1 are field elements of degree < n
@@ -126,8 +126,8 @@ def compute_decomposition(gf, n: int, delta: int, alpha: int,
     gf.check(alpha)
     if alpha == 0:
         raise ValueError("alpha must be a nonzero field element")
-    fact = factor_xn_minus_delta(gf, n, delta, seed=seed)
-    factors = _factor_data(gf, n, delta, alpha, fact)
+    factors = _factor_data(gf, n, delta, alpha,
+                           factor_xn_minus_delta(gf, n, delta, seed=seed))
     d = Decomposition(gf=gf, n=n, delta=delta, alpha=alpha, factors=factors,
                       tau=(), rho=None, eps_pairs=None)
     tau = compute_tau(d)

@@ -7,12 +7,16 @@ odd characteristic and the absolute-trace map for characteristic 2.  The
 splitting randomness comes from a seeded PRNG and the factor list is
 re-sorted canonically, so output is deterministic for a fixed seed (and in
 practice identical across seeds).
+
+`is_irreducible` is distinct-degree factorization's verdict on one
+polynomial: it is irreducible when the first piece is the polynomial
+itself, since no factor of degree at most half its own turned up (von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 14).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import poly
 from .errors import NotCoprimeError
@@ -20,30 +24,13 @@ from .errors import NotCoprimeError
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """The monic irreducible factors of x^n - delta, canonically ordered.
+def factor_xn_minus_delta(gf, n: int, delta: int,
+                          seed: int = DEFAULT_SEED) -> tuple[tuple[int, ...], ...]:
+    """The monic irreducible factors of x^n - delta over gf, canonically ordered.
 
     Canonical order is ascending degree, ties broken by the integer
     encoding of the coefficient vector (see poly.canonical_key).
     """
-
-    gf: object
-    n: int
-    delta: int
-    factors: tuple[tuple[int, ...], ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.factors)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(f) - 1 for f in self.factors)
-
-
-def factor_xn_minus_delta(gf, n: int, delta: int, seed: int = DEFAULT_SEED) -> Factorization:
-    """Factor x^n - delta into monic irreducibles over gf."""
     if n < 1:
         raise ValueError(f"length n = {n} must be positive")
     if n % gf.p == 0:
@@ -59,26 +46,37 @@ def factor_xn_minus_delta(gf, n: int, delta: int, seed: int = DEFAULT_SEED) -> F
     for piece, d in _distinct_degree(gf, target):
         factors.extend(_equal_degree(gf, piece, d, rng))
     factors.sort(key=poly.canonical_key)
-    return Factorization(gf=gf, n=n, delta=delta, factors=tuple(factors))
+    return tuple(factors)
+
+
+def is_irreducible(gf, f) -> bool:
+    """Whether monic f is irreducible over gf.
+
+    The first piece of distinct-degree factorization is f itself at its
+    own degree exactly when f has no factor of degree <= deg(f)/2.  That
+    also holds for f that is not squarefree: a square p^2 dividing f has
+    deg p <= deg(f)/2, so the gcd at d = deg p is already nontrivial.
+    Taking only the first piece stops at the first factor found.
+    """
+    return len(f) > 1 and next(_distinct_degree(gf, f)) == (f, len(f) - 1)
 
 
 def _distinct_degree(gf, f):
-    """Split squarefree monic f into (product, d) pieces by factor degree."""
-    pieces = []
+    """Split squarefree monic f into (product, d) pieces by factor degree,
+    yielded in ascending d."""
     h = poly.X
     d = 0
     while len(f) - 1 > 0:
         d += 1
         if 2 * d > len(f) - 1:
-            pieces.append((f, len(f) - 1))
+            yield f, len(f) - 1
             break
         h = poly.pow_mod(gf, h, gf.q, f)
         g = poly.gcd(gf, poly.sub(gf, h, poly.X), f)
         if len(g) > 1:
-            pieces.append((g, d))
+            yield g, d
             f = poly.quo(gf, f, g)
             h = poly.rem(gf, h, f)
-    return pieces
 
 
 def _equal_degree(gf, f, d: int, rng: random.Random) -> list[tuple[int, ...]]:

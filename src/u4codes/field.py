@@ -104,11 +104,11 @@ class GF:
         if m == 1:
             return (0, 1)
         base = GF(p)
-        from . import poly  # deferred: poly has no import-time dependency on us
+        from .factor import is_irreducible
 
         for t in range(p ** m):
             cand = _digits(t, p, m) + (1,)
-            if poly.is_irreducible(base, cand):
+            if is_irreducible(base, cand):
                 return cand
         raise RuntimeError("no irreducible modulus found")  # pragma: no cover
 
@@ -119,10 +119,9 @@ class GF:
         if any(not (0 <= c < p) for c in modulus):
             raise ValueError("modulus coefficients must be reduced mod p")
         if m > 1:
-            base = GF(p)
-            from . import poly
+            from .factor import is_irreducible
 
-            if not poly.is_irreducible(base, modulus):
+            if not is_irreducible(GF(p), modulus):
                 raise ValueError("modulus is reducible over GF(p)")
 
     def _powers_of_primitive(self) -> list[int]:
@@ -133,21 +132,23 @@ class GF:
         """
         p, m, q = self.p, self.m, self.q
         if m == 1:
-            def times(a: int, g: int) -> int:
-                return a * g % p
+            def times(g: int):
+                return lambda a: a * g % p
         else:
             base = GF(p)
             from . import poly
 
-            def times(a: int, g: int) -> int:
-                prod = poly.mul(base, _digits(a, p, m), _digits(g, p, m))
-                return self.from_coeffs(poly.rem(base, prod, self.modulus))
+            def times(g: int):
+                gd = _digits(g, p, m)
+                return lambda a: self.from_coeffs(
+                    poly.rem(base, poly.mul(base, _digits(a, p, m), gd), self.modulus))
         for g in range(1, q):
+            times_g = times(g)
             powers = [1]
             a = g
             while a != 1:
                 powers.append(a)
-                a = times(a, g)
+                a = times_g(a)
             if len(powers) == q - 1:
                 return powers
         raise RuntimeError("no primitive element found")  # pragma: no cover
@@ -220,19 +221,9 @@ class GF:
         """Render an element, either as its integer encoding or in the power basis."""
         if not poly_basis or self.m == 1:
             return str(a)
-        cs = self.coeffs(a)
-        terms = []
-        for k in range(self.m - 1, -1, -1):
-            c = cs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(var if c == 1 else f"{c}*{var}")
-            else:
-                terms.append(f"{var}^{k}" if c == 1 else f"{c}*{var}^{k}")
-        return " + ".join(terms) if terms else "0"
+        from . import poly
+
+        return poly.to_str(self, poly.normalize(self.coeffs(a)), var=var)
 
     # -- equality / display ------------------------------------------------
 

@@ -71,11 +71,6 @@ def sub(gf, a, b) -> tuple[int, ...]:
     return normalize(out)
 
 
-def neg(gf, a) -> tuple[int, ...]:
-    fneg = gf.neg
-    return tuple(fneg(c) for c in a)
-
-
 def scale(gf, a, c: int) -> tuple[int, ...]:
     if c == 0:
         return ZERO
@@ -148,9 +143,10 @@ def gcd(gf, a, b) -> tuple[int, ...]:
 def ext_gcd(gf, a, b):
     """Extended Euclid: monic g = gcd(a, b) and (s, t) with s*a + t*b = g.
 
-    When meaningful (neither input divides the other up to a constant) the
-    witnesses are degree-normalized: deg(s) < deg(b) - deg(g) and deg(t) <
-    deg(a) - deg(g).
+    The witnesses come out of the remainder sequence already of least
+    degree: when neither input divides the other, deg(s) < deg(b) - deg(g)
+    and deg(t) < deg(a) - deg(g) (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 3).
     """
     a, b = tuple(a), tuple(b)
     if not a and not b:
@@ -164,48 +160,20 @@ def ext_gcd(gf, a, b):
         s0, s1 = s1, sub(gf, s0, mul(gf, q, s1))
         t0, t1 = t1, sub(gf, t0, mul(gf, q, t1))
     c = gf.inv(r0[-1])
-    g = scale(gf, r0, c)
-    s = scale(gf, s0, c)
-    t = scale(gf, t0, c)
-    if b:
-        cof = quo(gf, b, g)
-        if len(cof) > 1 and len(s) >= len(cof):
-            s = rem(gf, s, cof)
-            t = quo(gf, sub(gf, g, mul(gf, s, a)), b)
-    return g, s, t
+    return scale(gf, r0, c), scale(gf, s0, c), scale(gf, t0, c)
 
 
 def pow_mod(gf, base, e: int, modpoly) -> tuple[int, ...]:
-    """base^e reduced mod modpoly (e >= 0)."""
-    result = ONE
+    """base^e reduced mod modpoly (e >= 0), squaring from the top bit down."""
+    if e == 0:
+        return ONE
     base = rem(gf, base, modpoly)
-    while e:
-        if e & 1:
+    result = base
+    for bit in bin(e)[3:]:
+        result = rem(gf, mul(gf, result, result), modpoly)
+        if bit == "1":
             result = rem(gf, mul(gf, result, base), modpoly)
-        base = rem(gf, mul(gf, base, base), modpoly)
-        e >>= 1
     return result
-
-
-def is_irreducible(gf, f) -> bool:
-    """Irreducibility over gf, by excluding factors of degree <= deg(f)/2.
-
-    Uses gcd(f, x^(q^k) - x) for k = 1 .. deg(f)//2; any reducible f has an
-    irreducible factor in that range, so surviving all rounds proves
-    irreducibility.
-    """
-    f = normalize(f)
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    h = X
-    for _ in range(d // 2):
-        h = pow_mod(gf, h, gf.q, f)
-        if len(gcd(gf, sub(gf, h, X), f)) > 1:
-            return False
-    return True
 
 
 def xn_minus_c(gf, n: int, c: int) -> tuple[int, ...]:

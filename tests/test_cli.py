@@ -182,6 +182,18 @@ def test_verify_index_and_selfdual(capsys):
     assert obj["expected"] == 5 and obj["confirmed"] == 5 and obj["pass"] is True
 
 
+def test_verify_warns_above_the_oracle_dimension_cap(capsys):
+    # 4n = 260 exceeds cli.ORACLE_DIM_WARN; the warning comes before the index
+    # is read, so a bad index keeps the check cheap
+    args = ("--p", "2", "--delta", "1", "--alpha", "1", "--scope", "index", "--index", "9")
+    code, out, err = run(capsys, "verify", "--n", "65", *args)
+    assert code == 2 and out == ""
+    assert "warning: oracle works in dimension 260" in err
+    code, _, err = run(capsys, "verify", "--n", "63", *args)
+    assert code == 2
+    assert "warning" not in err
+
+
 def test_verify_nonprime_field_instance(capsys):
     code, out, _ = run(capsys, "verify", "--p", "2", "--m", "2", "--n", "3",
                        "--delta", "1", "--alpha", "2", "--json")

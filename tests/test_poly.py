@@ -86,16 +86,10 @@ def test_ext_gcd_randomized(rng):
                 assert poly.rem(gf, a, g) == ()
             if b:
                 assert poly.rem(gf, b, g) == ()
-
-
-def test_is_irreducible(gf2, gf3):
-    assert poly.is_irreducible(gf2, (1, 1, 0, 1))        # x^3 + x + 1
-    assert poly.is_irreducible(gf2, (1, 0, 1, 1))        # x^3 + x^2 + 1
-    assert not poly.is_irreducible(gf2, (1, 0, 0, 0, 0, 0, 0, 1))  # x^7 + 1
-    assert not poly.is_irreducible(gf2, (1, 0, 1))       # (x+1)^2
-    assert poly.is_irreducible(gf3, (1, 0, 1))           # x^2 + 1 over GF(3)
-    assert not poly.is_irreducible(gf3, (2, 0, 1))       # x^2 - 1
-    assert not poly.is_irreducible(gf2, (1,))            # constants are not
+            if a and b and poly.rem(gf, a, b) and poly.rem(gf, b, a):
+                # Euclid's witnesses need no reduction: they are already of least degree
+                assert poly.deg(s) < poly.deg(b) - poly.deg(g)
+                assert poly.deg(t) < poly.deg(a) - poly.deg(g)
 
 
 def test_pow_mod(gf3):
