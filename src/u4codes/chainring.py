@@ -78,8 +78,7 @@ class RingElement:
         return RingElement._of(self.gf, map(self.gf.add, self.cs, other.cs))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check_same(other)
-        return RingElement._of(self.gf, map(self.gf.sub, self.cs, other.cs))
+        return self + -other
 
     def __neg__(self) -> "RingElement":
         return RingElement._of(self.gf, map(self.gf.neg, self.cs))
@@ -185,13 +184,10 @@ class AmbientElement:
 
     @classmethod
     def x_pow(cls, gf, n: int, lam: RingElement, k: int) -> "AmbientElement":
-        coeffs = [(0, 0, 0, 0)] * n
-        r = RingElement.one(gf)
-        while k >= n:
-            r = r * lam
-            k -= n
-        coeffs[k] = r
-        return cls(gf, n, lam, coeffs)
+        r = cls.one(gf, n, lam)
+        for _ in range(k):
+            r = r.times_x()
+        return r
 
     # -- ambient discipline -------------------------------------------------
 
@@ -224,31 +220,20 @@ class AmbientElement:
         return self._with(map(self.gf.add, self.flat, other.flat))
 
     def __sub__(self, other: "AmbientElement") -> "AmbientElement":
-        self._require_same(other)
-        return self._with(map(self.gf.sub, self.flat, other.flat))
+        return self + -other
 
     def __neg__(self) -> "AmbientElement":
         return self._with(map(self.gf.neg, self.flat))
 
     def __mul__(self, other: "AmbientElement") -> "AmbientElement":
+        """sum_i a_i * (x^i * b); times_x carries the twist x^n = lam."""
         self._require_same(other)
-        gf, n, fadd = self.gf, self.n, self.gf.add
-        out = [0] * (4 * n)
-        for i in range(n):
-            acs = self.coeff(i)
-            if acs == (0, 0, 0, 0):
-                continue
-            for j in range(n):
-                bcs = other.coeff(j)
-                if bcs == (0, 0, 0, 0):
-                    continue
-                prod = conv4(gf, acs, bcs)
-                k = i + j
-                if k >= n:   # x^n = lam
-                    prod = conv4(gf, prod, self.lam.cs)
-                    k -= n
-                out[4 * k:4 * k + 4] = map(fadd, out[4 * k:4 * k + 4], prod)
-        return self._with(out)
+        out = self._with([0] * (4 * self.n))
+        term = other
+        for i in range(self.n):
+            out = out + term.scale(RingElement._of(self.gf, self.coeff(i)))
+            term = term.times_x()
+        return out
 
     def scale(self, r: RingElement) -> "AmbientElement":
         if r.gf != self.gf:

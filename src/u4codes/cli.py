@@ -51,13 +51,6 @@ def _field(args) -> GF:
     return GF(args.p, args.m, modulus)
 
 
-def _unit(gf: GF, value: int, name: str) -> int:
-    gf.check(value)
-    if value == 0:
-        raise ValueError(f"{name} must be a nonzero element of GF({gf.q})")
-    return value
-
-
 def _parse_index(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -73,7 +66,7 @@ def _emit_json_line(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _record_text(rec, gf, pb: bool) -> str:
+def _record_text(rec, pb: bool) -> str:
     idx = ",".join(str(l) for l in rec.index)
     return (f"index=({idx}) log_q_size={rec.log_q_size} "
             f"generator = {ambient_str(rec.generator, poly_basis=pb)}")
@@ -84,17 +77,16 @@ def _record_text(rec, gf, pb: bool) -> str:
 
 def cmd_factor(args) -> int:
     gf = _field(args)
-    delta = _unit(gf, args.delta, "delta")
-    factors = factor_xn_minus_delta(gf, args.n, delta, seed=args.seed)
+    factors = factor_xn_minus_delta(gf, args.n, args.delta, seed=args.seed)
     pb = args.field_display
     if args.json:
         obj = {"p": gf.p, "m": gf.m, "modulus": list(gf.modulus),
-               "n": args.n, "delta": delta, "seed": args.seed,
+               "n": args.n, "delta": args.delta, "seed": args.seed,
                "count": len(factors), "factors": [
                    {"coeffs": list(f), "degree": len(f) - 1} for f in factors]}
         _emit_json(obj)
     else:
-        dstr = gf.element_str(delta, poly_basis=pb)
+        dstr = gf.element_str(args.delta, poly_basis=pb)
         print(f"x^{args.n} - {dstr} over GF({gf.q}): {len(factors)} irreducible factors")
         for j, f in enumerate(factors, start=1):
             print(f"  f{j} = {poly.to_str(gf, f, poly_basis=pb)}")
@@ -102,10 +94,8 @@ def cmd_factor(args) -> int:
 
 
 def _decomposition(args):
-    gf = _field(args)
-    delta = _unit(gf, args.delta, "delta")
-    alpha = _unit(gf, args.alpha, "alpha")
-    return decomp_mod.compute_decomposition(gf, args.n, delta, alpha, seed=args.seed)
+    return decomp_mod.compute_decomposition(_field(args), args.n, args.delta, args.alpha,
+                                            seed=args.seed)
 
 
 def cmd_idempotents(args) -> int:
@@ -146,19 +136,18 @@ def cmd_codes(args) -> int:
                         "log_q_product": 4 * d.n})
         else:
             q = d.gf.q
-            print("code  " + _record_text(rec, d.gf, pb))
-            print("dual  " + _record_text(dual, d.gf, pb))
+            print("code  " + _record_text(rec, pb))
+            print("dual  " + _record_text(dual, pb))
             print(f"dual ambient lambda^(-1) = {ring_str(dual.ambient_lambda, poly_basis=pb)}")
             print(f"|C| = {q}^{rec.log_q_size}, |C^perp| = {q}^{dual.log_q_size}, "
                   f"product = {q}^{4 * d.n}")
         return 0
     _check_enum_cap(d, args)
-    start = args.start or 0
-    for rec in codes_mod.enumerate_codes(d, start=start, limit=args.limit):
+    for rec in codes_mod.enumerate_codes(d, start=args.start, limit=args.limit):
         if args.json:
             _emit_json_line(rec.to_json())
         else:
-            print(_record_text(rec, d.gf, pb))
+            print(_record_text(rec, pb))
     return 0
 
 
@@ -171,7 +160,7 @@ def cmd_dual(args) -> int:
         _emit_json({"dual": dual.to_json(), "log_q_product": 4 * d.n})
     else:
         pb = args.field_display
-        print("dual  " + _record_text(dual, d.gf, pb))
+        print("dual  " + _record_text(dual, pb))
         print(f"dual ambient lambda^(-1) = {ring_str(dual.ambient_lambda, poly_basis=pb)}")
     return 0
 
@@ -185,7 +174,7 @@ def cmd_selfdual(args) -> int:
         if args.json:
             _emit_json_line(rec.to_json(self_dual=True))
         else:
-            print(_record_text(rec, d.gf, pb))
+            print(_record_text(rec, pb))
     if not args.json:
         print(f"{count} self-dual codes (5^eps_pairs with eps_pairs = {d.eps_pairs})")
     return 0
@@ -205,7 +194,7 @@ def cmd_verify(args) -> int:
         report = _verify_selfdual(d)
     else:
         _check_enum_cap(d, args)
-        recs = codes_mod.enumerate_codes(d, start=args.start or 0, limit=args.limit)
+        recs = codes_mod.enumerate_codes(d, start=args.start, limit=args.limit)
         report = _verify_records(d, recs)
     report["scope"] = args.scope
     report["elapsed_s"] = round(time.perf_counter() - t0, 3)

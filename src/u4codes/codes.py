@@ -49,7 +49,9 @@ class CodeRecord:
 
 
 def validate_index(d: Decomposition, idx) -> tuple[int, ...]:
-    idx = tuple(int(l) for l in idx)
+    idx = tuple(idx)
+    if any(not isinstance(l, int) or isinstance(l, bool) for l in idx):
+        raise InvalidIndexError(f"index entries must be integers: {idx}")
     if len(idx) != d.r:
         raise InvalidIndexError(
             f"index has length {len(idx)}, expected r = {d.r}")
@@ -63,11 +65,13 @@ def _shift_sum(d: Decomposition, exps) -> AmbientElement:
 
     Multiplying by u^l moves u-coordinate k of every position to k + l and
     drops what passes u^3, so each term is a strided add on the flat vector.
+    Each e_j = e0_j + u^2 * e1_j has zero u^1 and u^3 coordinates, so only
+    the strides k = l and k = l + 2 can receive anything nonzero.
     """
     fadd = d.gf.add
     flat = [0] * (4 * d.n)
     for l, fd in zip(exps, d.factors):
-        for k in range(l, 4):
+        for k in range(l, 4, 2):
             flat[k::4] = map(fadd, flat[k::4], fd.e.flat[k - l::4])
     return d.factors[0].e._with(flat)   # every e_j lies in d's ambient
 
@@ -113,12 +117,11 @@ def dual_code(d: Decomposition, idx) -> CodeRecord:
     """
     idx = validate_index(d, idx)
     gen = ambient_reciprocal(_shift_sum(d, [_MAX_EXP - l for l in idx]))
-    inv_tau = [0] * d.r
+    dual_idx = [0] * d.r
     for j, k in enumerate(d.tau):
-        inv_tau[k] = j
-    dual_idx = tuple(_MAX_EXP - idx[inv_tau[k]] for k in range(d.r))
+        dual_idx[k] = _MAX_EXP - idx[j]
     log = sum(l * fd.degree for l, fd in zip(idx, d.factors))
-    return CodeRecord(index=dual_idx, generator=gen, log_q_size=log)
+    return CodeRecord(index=tuple(dual_idx), generator=gen, log_q_size=log)
 
 
 def self_dual_indices(d: Decomposition) -> Iterator[tuple[int, ...]]:

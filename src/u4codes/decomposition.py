@@ -125,7 +125,7 @@ def compute_decomposition(gf, n: int, delta: int, alpha: int,
     """Factor x^n - delta and assemble all CRT data for (delta, alpha)."""
     gf.check(alpha)
     if alpha == 0:
-        raise ValueError("alpha must be a nonzero field element")
+        raise ValueError(f"alpha must be a nonzero element of GF({gf.q})")
     factors = _factor_data(gf, n, delta, alpha,
                            factor_xn_minus_delta(gf, n, delta, seed=seed))
     d = Decomposition(gf=gf, n=n, delta=delta, alpha=alpha, factors=factors,

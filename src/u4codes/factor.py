@@ -31,14 +31,14 @@ def factor_xn_minus_delta(gf, n: int, delta: int,
     Canonical order is ascending degree, ties broken by the integer
     encoding of the coefficient vector (see poly.canonical_key).
     """
+    gf.check(delta)
+    if delta == 0:
+        raise ValueError(f"delta must be a nonzero element of GF({gf.q})")
     if n < 1:
         raise ValueError(f"length n = {n} must be positive")
     if n % gf.p == 0:
         raise NotCoprimeError(
             f"characteristic {gf.p} divides n = {n}; gcd(q, n) = 1 is required")
-    gf.check(delta)
-    if delta == 0:
-        raise ValueError("delta must be a nonzero field element")
 
     target = poly.xn_minus_c(gf, n, delta)
     rng = random.Random(seed)

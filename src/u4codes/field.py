@@ -11,12 +11,15 @@ inversion, negation and powers add logarithms.  Addition depends on the
 characteristic: for p = 2 the encoding is the bit vector of the
 coordinates, so a + b is a XOR b; for odd p it uses Zech logarithms,
 g^i + g^j = g^(i + zech[j - i]) with zech[k] = log(1 + g^k) (Lidl &
-Niederreiter, Finite Fields).
+Niederreiter, Finite Fields).  Subtraction is addition of the negation.
+The tables are O(q), so a field with q > MAX_Q = 2^20 is rejected up front.
 """
 
 from __future__ import annotations
 
 import operator
+
+MAX_Q = 2 ** 20     # largest field order served; the tables are O(q)
 
 
 def is_prime(p: int) -> bool:
@@ -59,13 +62,15 @@ class GF:
     two periods too, with None where 1 + g^k = 0, so a difference of
     logarithms indexes it directly (a negative index counts from the end,
     which is the same residue mod q - 1).  `add` and `sub` are bound per
-    instance: XOR for p = 2, the Zech-logarithm methods otherwise.
+    instance: XOR for p = 2, else Zech addition (of the negation, for sub).
     """
 
     __slots__ = ("p", "m", "q", "modulus", "exp", "log", "zech", "add", "sub",
                  "_log_neg1")
 
     def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | None = None):
+        if m > 20 or p > MAX_Q or p ** m > MAX_Q:    # p^m is formed only when cheap
+            raise ValueError(f"GF({p}^{m}) is too large: q = p^m must be at most 2^20")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if m < 1:
@@ -166,15 +171,7 @@ class GF:
         return 0 if z is None else self.exp[i + z]
 
     def _zech_sub(self, a: int, b: int) -> int:
-        if not b:
-            return a
-        log = self.log
-        j = log[b] + self._log_neg1                  # -b = g^j
-        if not a:
-            return self.exp[j]
-        i = log[a]
-        z = self.zech[j - i]
-        return 0 if z is None else self.exp[i + z]
+        return self._zech_add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         return self.exp[self.log[a] + self._log_neg1] if a else 0

@@ -47,14 +47,9 @@ def _conv4(gf, a, b):
     )
 
 
-def _mul_u_flat(vec, n: int) -> tuple[int, ...]:
-    out = list(vec)
-    for i in range(n):
-        base = 4 * i
-        out[base + 3] = vec[base + 2]
-        out[base + 2] = vec[base + 1]
-        out[base + 1] = vec[base]
-        out[base] = 0
+def _mul_u_flat(vec) -> tuple[int, ...]:
+    out = [0] * len(vec)
+    out[1::4], out[2::4], out[3::4] = vec[0::4], vec[1::4], vec[2::4]
     return tuple(out)
 
 
@@ -70,7 +65,7 @@ def rref(gf, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     if not work:
         return (), ()
     ncols = len(work[0])
-    fsub, fmul, finv = gf.sub, gf.mul, gf.inv
+    fadd, fmul, fneg, finv = gf.add, gf.mul, gf.neg, gf.inv
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -90,8 +85,8 @@ def rref(gf, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
             work[rank] = row
         for i, other in enumerate(work):
             if i != rank and other[col]:
-                f = other[col]
-                work[i] = [fsub(x, fmul(f, y)) for x, y in zip(other, row)]
+                f = fneg(other[col])
+                work[i] = [fadd(x, fmul(f, y)) for x, y in zip(other, row)]
         pivots.append(col)
         rank += 1
         if rank == len(work):
@@ -100,19 +95,15 @@ def rref(gf, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     return basis, tuple(pivots)
 
 
-def reduce_vector(gf, fc: FlatCode, vec) -> tuple[int, ...]:
-    """Residue of vec after elimination against the echelon basis."""
-    v = list(vec)
-    fsub, fmul = gf.sub, gf.mul
-    for row, pcol in zip(fc.basis, fc.pivots):
-        f = v[pcol]
-        if f:
-            v = [fsub(x, fmul(f, y)) for x, y in zip(v, row)]
-    return tuple(v)
-
-
 def contains(fc: FlatCode, vec) -> bool:
-    return not any(reduce_vector(fc.gf, fc, vec))
+    """Membership: elimination against fc's echelon basis leaves zero."""
+    fadd, fmul, fneg = fc.gf.add, fc.gf.mul, fc.gf.neg
+    v = list(vec)
+    for row, pcol in zip(fc.basis, fc.pivots):
+        if v[pcol]:
+            f = fneg(v[pcol])
+            v = [fadd(x, fmul(f, y)) for x, y in zip(v, row)]
+    return not any(v)
 
 
 def from_rows(gf, n: int, lam_cs, rows) -> FlatCode:
@@ -134,7 +125,7 @@ def span_ideal(g) -> FlatCode:
         w = vec
         rows.append(w)
         for _ in range(3):
-            w = _mul_u_flat(w, n)
+            w = _mul_u_flat(w)
             rows.append(w)
         vec = _mul_x_flat(gf, vec, n, lam_cs)
     return from_rows(gf, n, lam_cs, rows)
@@ -146,7 +137,7 @@ def check_constacyclic(fc: FlatCode) -> bool:
     A span of u^k * x^i * g that fails is an arithmetic bug, never a
     property of the input; it is reported as a failed check.
     """
-    return all(contains(fc, _mul_u_flat(row, fc.n))
+    return all(contains(fc, _mul_u_flat(row))
                and contains(fc, _mul_x_flat(fc.gf, row, fc.n, fc.lam_cs))
                for row in fc.basis)
 

@@ -108,15 +108,16 @@ def divrem(gf, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     rem = list(a)
     db = len(b) - 1
     quot = [0] * (len(a) - db)
-    fsub, fmul = gf.sub, gf.mul
+    fadd, fmul = gf.add, gf.mul
+    neg_inv_lc = gf.neg(inv_lc)
     for k in range(len(rem) - 1, db - 1, -1):
         c = rem[k]
         if c == 0:
             continue
-        f = fmul(c, inv_lc)
-        quot[k - db] = f
+        f = fmul(c, neg_inv_lc)             # minus the quotient coefficient
+        quot[k - db] = gf.neg(f)
         for i in range(db + 1):
-            rem[k - db + i] = fsub(rem[k - db + i], fmul(f, b[i]))
+            rem[k - db + i] = fadd(rem[k - db + i], fmul(f, b[i]))
     return normalize(quot), normalize(rem)
 
 

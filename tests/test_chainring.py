@@ -99,6 +99,20 @@ def test_defining_relation(gf2):
     assert x * x6 == AmbientElement.from_ring_scalar(gf2, 7, lam, lam)
 
 
+@pytest.mark.parametrize("p, n, delta", [(2, 7, 1), (3, 5, 2)])
+def test_x_pow_wraps_through_lambda(p, n, delta):
+    # x^k = lam^(k div n) * x^(k mod n), the closed form of x^n = lam
+    gf = GF(p)
+    lam = _ambient(gf, n, delta, 1)
+    lam_pow = RingElement.one(gf)
+    for k in range(3 * n):
+        if k and k % n == 0:
+            lam_pow = lam_pow * lam
+        expected = (AmbientElement.from_ring_scalar(gf, n, lam, lam_pow)
+                    * AmbientElement.x_pow(gf, n, lam, k % n))
+        assert AmbientElement.x_pow(gf, n, lam, k) == expected
+
+
 def test_identity_and_shift_consistency(gf3, rng):
     lam = _ambient(gf3, 5, 2, 1)
     one = AmbientElement.one(gf3, 5, lam)

@@ -1,5 +1,6 @@
 import ast
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -244,6 +245,16 @@ def test_modulus_outside_degree_m_is_a_validation_error(capsys, modulus):
     assert code == 2
     assert out == ""
     assert "does not encode a degree-2 polynomial" in err
+
+
+@pytest.mark.parametrize("field", [("--p", "1000000016000000063"), ("--p", "2", "--m", "64")])
+def test_oversized_field_is_rejected_before_any_work(capsys, field):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "factor", *field, "--n", "3", "--delta", "1")
+    assert time.perf_counter() - t0 < 5    # no trial division, no O(q) tables
+    assert code == 2
+    assert out == ""
+    assert "too large" in err
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):

@@ -33,6 +33,10 @@ def test_invalid_indices(dec7):
         build_code(dec7, (5, 0, 0))
     with pytest.raises(InvalidIndexError):
         build_code(dec7, (0, -1, 0))
+    # non-integer entries are rejected, not truncated to (1, 1, 3)
+    for idx in [(1.9, True, "3"), (1, True, 3), (1.0, 1, 3), (1, 1, "3")]:
+        with pytest.raises(InvalidIndexError):
+            build_code(dec7, idx)
 
 
 def test_enumeration_count_order_and_sizes(dec7):

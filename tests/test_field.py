@@ -10,6 +10,14 @@ def test_rejects_composite_characteristic():
         GF(1)
 
 
+@pytest.mark.parametrize("p, m", [((10 ** 9 + 7) * (10 ** 9 + 9), 1), (2 ** 20 + 1, 1),
+                                  (2, 21), (2, 64), (3, 13)])
+def test_fields_above_the_size_bound_are_rejected_first(p, m):
+    # the bound precedes the primality test, so a huge composite p fails fast
+    with pytest.raises(ValueError, match="too large"):
+        GF(p, m)
+
+
 def test_generated_moduli_are_the_smallest_irreducibles():
     assert GF(2).modulus == (0, 1)
     assert GF(2, 2).modulus == (1, 1, 1)       # y^2 + y + 1
