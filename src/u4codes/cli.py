@@ -23,7 +23,7 @@ from . import decomposition as decomp_mod
 from . import oracle, poly
 from .chainring import ambient_str, ring_str
 from .factor import DEFAULT_SEED, factor_xn_minus_delta
-from .field import GF, _digits
+from .field import GF, _digits, check_size
 
 SEED_ENV = "U4CODES_SEED"
 ENUM_CAP = 10 ** 6          # refuse full enumeration beyond this without --force
@@ -38,6 +38,7 @@ def _default_seed() -> int:
 
 
 def _modulus_from_int(p: int, m: int, value: int) -> tuple[int, ...]:
+    check_size(p, m)
     if not p ** m <= value < p ** (m + 1):
         raise ValueError(
             f"--modulus {value} does not encode a degree-{m} polynomial over GF({p})")

@@ -3,7 +3,7 @@
 For each monic irreducible factor f_j of x^n - delta this computes:
 
 * the cofactor F_j = (x^n - delta)/f_j and a Bezout pair (g_j, h_j) with
-  g_j*F_j^2 + h_j*f_j^2 = 1;
+  g_j*F_j^2 + h_j*f_j^2 = 1, so h_j = (1 - eps_j)/f_j^2 exactly;
 * the primitive idempotent eps_j = g_j*F_j^2 mod (x^n - delta)^2, its
   split eps_j = e0_j + alpha^(-1)(x^n - delta)*e1_j with components of
   degree < n, and the ambient idempotent e_j = e0_j + u^2*e1_j;
@@ -16,15 +16,15 @@ substitution x -> x^(-1) maps e_j onto the primitive idempotent of the
 ambient defined by the inverse unit at the monic reciprocal f_j* of f_j,
 so tau is read off the factor list alone.  When delta is its own inverse
 both ambients share one factorization, tau is an involution on {0..r-1},
-and the counts rho (fixed indices) and eps_pairs (swapped pairs) are
-defined; canonical_rearrange then reorders indices into the fixed / pair
+and the counts rho (fixed indices) and eps_pairs (swapped pairs) are read
+off it; canonical_rearrange then reorders factors into the fixed / pair
 representative / pair partner block layout used for self-dual
 enumeration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import poly
 from .chainring import AmbientElement, RingElement, lam_of
@@ -58,8 +58,6 @@ class Decomposition:
     alpha: int
     factors: tuple[FactorData, ...]
     tau: tuple[int, ...]
-    rho: int | None
-    eps_pairs: int | None
     canonical: bool = False
 
     @property
@@ -69,6 +67,19 @@ class Decomposition:
     @property
     def lam(self) -> RingElement:
         return lam_of(self.gf, self.delta, self.alpha)
+
+    @property
+    def rho(self) -> int | None:
+        """Indices tau fixes; None unless delta is its own inverse."""
+        if self.delta == self.gf.inv(self.delta):
+            return sum(1 for j, k in enumerate(self.tau) if j == k)
+        return None
+
+    @property
+    def eps_pairs(self) -> int | None:
+        """Index pairs tau swaps; None unless delta is its own inverse."""
+        rho = self.rho
+        return None if rho is None else (self.r - rho) // 2
 
 
 def _factor_data(gf, n: int, delta: int, alpha: int, factors) -> tuple[FactorData, ...]:
@@ -80,12 +91,13 @@ def _factor_data(gf, n: int, delta: int, alpha: int, factors) -> tuple[FactorDat
         cof = poly.quo(gf, xnd, f)
         fsq = poly.mul(gf, f, f)
         cofsq = poly.mul(gf, cof, cof)
-        g1, g, h = poly.ext_gcd(gf, cofsq, fsq)
+        g1, g = poly.ext_gcd(gf, cofsq, fsq)
         if g1 != poly.ONE:
             raise InternalError("cofactor^2 and f^2 are not coprime")
         # Euclid keeps deg g < deg f^2, so deg(g*F^2) < 2n: already reduced
-        # mod (x^n - delta)^2
+        # mod (x^n - delta)^2; and g*F^2 = 1 mod f^2, so f^2 divides 1 - eps
         eps = poly.mul(gf, g, cofsq)
+        h = poly.quo(gf, poly.sub(gf, poly.ONE, eps), fsq)
         q_, e0 = poly.divrem(gf, eps, xnd)
         e1 = poly.scale(gf, q_, alpha)
         flat = [0] * (4 * n)      # e0 and e1 are field elements of degree < n
@@ -100,22 +112,21 @@ def _factor_data(gf, n: int, delta: int, alpha: int, factors) -> tuple[FactorDat
     return tuple(out)
 
 
-def compute_tau(d: Decomposition) -> tuple[int, ...]:
+def compute_tau(gf, delta: int, factors) -> tuple[int, ...]:
     """The index of the monic reciprocal f_j* of each factor f_j (0-based).
 
-    When delta is its own inverse the two ambients share d's factor list,
-    in d's order, and the permutation is an involution; otherwise it maps
-    indices of d to canonical indices of the inverse-unit decomposition.
+    When delta is its own inverse the two ambients share the factor list,
+    in the given order, and the permutation is an involution; otherwise it
+    maps indices to canonical indices of the inverse-unit decomposition.
     """
-    gf = d.gf
-    recips = [poly.monic(gf, tuple(reversed(fd.f))) for fd in d.factors]
-    if d.delta == gf.inv(d.delta):
-        target = [fd.f for fd in d.factors]
+    recips = [poly.monic(gf, tuple(reversed(fd.f))) for fd in factors]
+    if delta == gf.inv(delta):
+        target = [fd.f for fd in factors]
     else:
         target = sorted(recips, key=poly.canonical_key)
     where = {f: k for k, f in enumerate(target)}
     tau = tuple(where.get(f, -1) for f in recips)
-    if sorted(tau) != list(range(d.r)):
+    if sorted(tau) != list(range(len(factors))):
         raise InternalError("the reciprocal factors do not permute the factor list")
     return tau
 
@@ -128,23 +139,17 @@ def compute_decomposition(gf, n: int, delta: int, alpha: int,
         raise ValueError(f"alpha must be a nonzero element of GF({gf.q})")
     factors = _factor_data(gf, n, delta, alpha,
                            factor_xn_minus_delta(gf, n, delta, seed=seed))
-    d = Decomposition(gf=gf, n=n, delta=delta, alpha=alpha, factors=factors,
-                      tau=(), rho=None, eps_pairs=None)
-    tau = compute_tau(d)
-    rho = eps_pairs = None
-    if delta == gf.inv(delta):
-        rho = sum(1 for j, k in enumerate(tau) if j == k)
-        eps_pairs = (len(tau) - rho) // 2
-    return replace(d, tau=tau, rho=rho, eps_pairs=eps_pairs)
+    return Decomposition(gf=gf, n=n, delta=delta, alpha=alpha, factors=factors,
+                         tau=compute_tau(gf, delta, factors))
 
 
 def canonical_rearrange(d: Decomposition) -> Decomposition:
-    """Reorder indices into blocks: tau-fixed, pair representatives, partners.
+    """Reorder factors into blocks: tau-fixed, pair representatives, partners.
 
     Fixed indices come first (canonical factor order), then one canonical
-    representative per swapped pair, then the partners in matching order,
-    so index rho + i is paired with index rho + eps_pairs + i.  Only
-    defined when delta is its own inverse (tau an involution).
+    representative per swapped pair, then the partners (their reciprocals)
+    in matching order, so tau pairs index rho + i with rho + eps_pairs + i.
+    Only defined when delta is its own inverse (tau an involution).
     """
     if d.rho is None:
         raise ValueError(
@@ -154,17 +159,10 @@ def canonical_rearrange(d: Decomposition) -> Decomposition:
     def key(j):
         return poly.canonical_key(d.factors[j].f)
     fixed = sorted((j for j in range(d.r) if d.tau[j] == j), key=key)
-    pairs = [(j, d.tau[j]) if key(j) <= key(d.tau[j]) else (d.tau[j], j)
-             for j in range(d.r) if j < d.tau[j]]
-    pairs.sort(key=lambda jk: key(jk[0]))
-    order = fixed + [j for j, _ in pairs] + [k for _, k in pairs]
-    rho, eps = len(fixed), len(pairs)
-    new_tau = list(range(rho)) + [rho + eps + i for i in range(eps)] \
-        + [rho + i for i in range(eps)]
-    return Decomposition(gf=d.gf, n=d.n, delta=d.delta, alpha=d.alpha,
-                         factors=tuple(d.factors[j] for j in order),
-                         tau=tuple(new_tau), rho=rho, eps_pairs=eps,
-                         canonical=True)
+    reps = sorted((min(j, d.tau[j], key=key) for j in range(d.r) if j < d.tau[j]), key=key)
+    factors = tuple(d.factors[j] for j in fixed + reps + [d.tau[j] for j in reps])
+    return Decomposition(gf=d.gf, n=d.n, delta=d.delta, alpha=d.alpha, factors=factors,
+                         tau=compute_tau(d.gf, d.delta, factors), canonical=True)
 
 
 # -- JSON ------------------------------------------------------------------
@@ -204,13 +202,20 @@ def from_json(obj) -> Decomposition:
     """Load a dump of to_json by recomputing it from its field, n, delta and alpha.
 
     The dump must equal to_json of the recomputation (rearranged when it
-    says canonical), so every derived value it carries -- factors,
-    idempotents, omegas, tau, rho, eps_pairs -- is checked at once.
-    Factor order does not depend on the seed.
+    says canonical), which checks every derived value it carries at once;
+    its shape (a non-empty factor list, n coefficients per idempotent) is
+    checked first, bounding the work by its size.  Factor order is seed-free.
     """
+    n, factors = int(obj["n"]), obj.get("factors")
+    try:
+        shaped = isinstance(factors, list) and {len(fo["e"]["coeffs"]) for fo in factors} == {n}
+    except (KeyError, TypeError):
+        shaped = False
+    if not shaped:
+        raise ValueError(f"the dump does not list idempotents of n = {n} coefficients")
     fld = obj["field"]
     gf = GF(int(fld["p"]), int(fld["m"]), tuple(fld["modulus"]))
-    d = compute_decomposition(gf, int(obj["n"]), int(obj["delta"]), int(obj["alpha"]))
+    d = compute_decomposition(gf, n, int(obj["delta"]), int(obj["alpha"]))
     if obj.get("canonical"):
         d = canonical_rearrange(d)
     if to_json(d) != obj:

@@ -38,6 +38,12 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_size(p: int, m: int) -> None:
+    """Reject GF(p^m) with q > MAX_Q before any work, forming p^m only when cheap."""
+    if m > 20 or p > MAX_Q or p ** m > MAX_Q:
+        raise ValueError(f"GF({p}^{m}) is too large: q = p^m must be at most 2^20")
+
+
 def _digits(value: int, p: int, m: int) -> tuple[int, ...]:
     out = []
     for _ in range(m):
@@ -69,8 +75,7 @@ class GF:
                  "_log_neg1")
 
     def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | None = None):
-        if m > 20 or p > MAX_Q or p ** m > MAX_Q:    # p^m is formed only when cheap
-            raise ValueError(f"GF({p}^{m}) is too large: q = p^m must be at most 2^20")
+        check_size(p, m)
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if m < 1:
@@ -81,7 +86,7 @@ class GF:
         if modulus is None:
             modulus = self._default_modulus(p, m)
         else:
-            modulus = tuple(int(c) for c in modulus)
+            modulus = tuple(modulus)
             self._check_modulus(modulus)
         self.modulus = modulus
 
@@ -121,8 +126,8 @@ class GF:
         p, m = self.p, self.m
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
-        if any(not (0 <= c < p) for c in modulus):
-            raise ValueError("modulus coefficients must be reduced mod p")
+        if any(type(c) is not int or not 0 <= c < p for c in modulus):
+            raise ValueError("modulus coefficients must be ints reduced mod p")
         if m > 1:
             from .factor import is_irreducible
 

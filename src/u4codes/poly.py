@@ -142,26 +142,24 @@ def gcd(gf, a, b) -> tuple[int, ...]:
 
 
 def ext_gcd(gf, a, b):
-    """Extended Euclid: monic g = gcd(a, b) and (s, t) with s*a + t*b = g.
+    """Extended Euclid: monic g = gcd(a, b) and s with s*a = g mod b.
 
-    The witnesses come out of the remainder sequence already of least
+    The witness comes out of the remainder sequence already of least
     degree: when neither input divides the other, deg(s) < deg(b) - deg(g)
-    and deg(t) < deg(a) - deg(g) (von zur Gathen & Gerhard, Modern Computer
-    Algebra, ch. 3).
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 3); the other
+    witness, (g - s*a)/b, is one exact division away.
     """
     a, b = tuple(a), tuple(b)
     if not a and not b:
         raise ValueError("gcd of two zero polynomials")
     r0, r1 = a, b
     s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
     while r1:
         q, r = divrem(gf, r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, sub(gf, s0, mul(gf, q, s1))
-        t0, t1 = t1, sub(gf, t0, mul(gf, q, t1))
     c = gf.inv(r0[-1])
-    return scale(gf, r0, c), scale(gf, s0, c), scale(gf, t0, c)
+    return scale(gf, r0, c), scale(gf, s0, c)
 
 
 def pow_mod(gf, base, e: int, modpoly) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import ast
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -83,7 +84,7 @@ def test_idempotents_json_round_trips(capsys):
         total = total + fd.e
         assert fd.e * fd.e == fd.e
     assert total == AmbientElement.one(d.gf, d.n, d.lam)
-    assert compute_tau(d) == d.tau
+    assert compute_tau(d.gf, d.delta, d.factors) == d.tau
 
 
 def test_codes_stream(capsys):
@@ -247,7 +248,8 @@ def test_modulus_outside_degree_m_is_a_validation_error(capsys, modulus):
     assert "does not encode a degree-2 polynomial" in err
 
 
-@pytest.mark.parametrize("field", [("--p", "1000000016000000063"), ("--p", "2", "--m", "64")])
+@pytest.mark.parametrize("field", [("--p", "1000000016000000063"), ("--p", "2", "--m", "64"),
+                                   ("--p", "3", "--m", "30000000", "--modulus", "5")])
 def test_oversized_field_is_rejected_before_any_work(capsys, field):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "factor", *field, "--n", "3", "--delta", "1")
@@ -337,3 +339,19 @@ def test_every_exported_name_is_reachable_from_main():
                 if ref in defs:
                     todo.append(ref)
     assert sorted(set(u4codes.__all__) - reached) == []
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # pyproject.toml declares `dependencies = []`: every import in the package
+    # is relative or names a standard-library module
+    import u4codes
+    for path in Path(u4codes.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)

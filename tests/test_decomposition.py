@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -117,7 +118,7 @@ def test_tau_is_conjugated_under_factor_permutation(dec7):
     perm = (2, 0, 1)
     permuted = dataclasses.replace(
         dec7, factors=tuple(dec7.factors[j] for j in perm))
-    tau_p = compute_tau(permuted)
+    tau_p = compute_tau(permuted.gf, permuted.delta, permuted.factors)
     # tau_p(new_j) = pos(tau(old_j)): conjugation by the permutation
     pos = {old: new for new, old in enumerate(perm)}
     expected = tuple(pos[dec7.tau[perm[j]]] for j in range(3))
@@ -153,10 +154,15 @@ def test_canonical_rearrange_n7(dec7):
     assert (dc.rho, dc.eps_pairs) == (1, 1)
 
 
-def test_canonical_rearrange_blocks(gf2):
-    d = compute_decomposition(gf2, 15, 1, 1)
+@pytest.mark.parametrize("p, m, n", [(2, 1, 15), (2, 1, 21), (2, 1, 31), (2, 1, 63),
+                                     (2, 2, 15), (3, 1, 8)])
+def test_canonical_rearrange_blocks(p, m, n):
+    # the block layout is not built: it is tau read off the reordered factors
+    d = compute_decomposition(GF(p, m), n, 1, 1)
     dc = canonical_rearrange(d)
     rho, eps = dc.rho, dc.eps_pairs
+    assert (rho, eps) == (d.rho, d.eps_pairs)
+    assert sorted(fd.f for fd in dc.factors) == sorted(fd.f for fd in d.factors)
     assert rho + 2 * eps == dc.r
     for j in range(rho):
         assert dc.tau[j] == j
@@ -206,7 +212,32 @@ def test_json_round_trip_and_reverification(dec7):
         total = total + fd.e
         assert fd.e * fd.e == fd.e
     assert total == _one(d2)
-    assert compute_tau(d2) == d2.tau
+    assert compute_tau(d2.gf, d2.delta, d2.factors) == d2.tau
+
+
+def test_from_json_rejects_a_dump_without_factors_before_recomputing():
+    # n = 20001 would take minutes to factor and decompose; the dump is 90 bytes
+    blob = {"field": {"p": 2, "m": 1, "modulus": [0, 1]}, "n": 20001, "delta": 1, "alpha": 1}
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="n = 20001"):
+        decomp_mod.from_json(blob)
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("how", ["empty factor list", "factors not a list", "factor without e",
+                                 "idempotent one coefficient short"])
+def test_from_json_checks_the_shape_of_the_factors(dec7, how):
+    blob = decomp_mod.to_json(dec7)
+    if how == "empty factor list":
+        blob["factors"] = []
+    elif how == "factors not a list":
+        blob["factors"] = {str(j): fo for j, fo in enumerate(blob["factors"])}
+    elif how == "factor without e":
+        del blob["factors"][0]["e"]
+    else:
+        blob["factors"][2]["e"]["coeffs"].pop()
+    with pytest.raises(ValueError, match="n = 7"):
+        decomp_mod.from_json(blob)
 
 
 def test_json_round_trip_of_a_canonical_decomposition(dec7):
@@ -246,7 +277,7 @@ def test_mismatched_idempotent_raises_internal_error(dec7):
     broken = dataclasses.replace(
         dec7, factors=(dec7.factors[0],) * 3)   # three copies of e1
     with pytest.raises(InternalError):
-        compute_tau(broken)
+        compute_tau(broken.gf, broken.delta, broken.factors)
 
 
 def _break_ambient(obj, how):

@@ -31,6 +31,10 @@ def test_rejects_reducible_modulus():
         GF(2, 2, modulus=(1, 0, 1))   # y^2 + 1 = (y + 1)^2
     with pytest.raises(ValueError):
         GF(2, 3, modulus=(1, 1, 0))   # not monic of degree 3
+    # coefficients are ints, never truncated: both would otherwise be y^2 + 1
+    for modulus in ((1.7, 0, 1), (True, 0, 1), (1, 0, True), (1, 0, 1.0)):
+        with pytest.raises(ValueError, match="ints"):
+            GF(3, 2, modulus)
 
 
 def test_gf2_basics(gf2):

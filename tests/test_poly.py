@@ -39,8 +39,19 @@ def test_divrem_reconstruction(rng):
             assert poly.deg(r) < poly.deg(b)
 
 
+def _ext_gcd_with_t(gf, a, b):
+    """ext_gcd's (g, s) and the second witness t = (g - s*a)/b, which must be exact."""
+    g, s = poly.ext_gcd(gf, a, b)
+    if not b:
+        assert poly.mul(gf, s, a) == g
+        return g, s, poly.ZERO
+    t, r = poly.divrem(gf, poly.sub(gf, g, poly.mul(gf, s, a)), b)
+    assert r == poly.ZERO
+    return g, s, t
+
+
 def test_ext_gcd_char2(gf2):
-    g, s, t = poly.ext_gcd(gf2, (1, 1), (0, 1))
+    g, s, t = _ext_gcd_with_t(gf2, (1, 1), (0, 1))
     assert g == (1,)
     assert poly.add(gf2, poly.mul(gf2, s, (1, 1)), poly.mul(gf2, t, (0, 1))) == (1,)
     assert (s, t) == ((1,), (1,))
@@ -48,7 +59,7 @@ def test_ext_gcd_char2(gf2):
 
 def test_ext_gcd_equal_inputs(gf3):
     f = (2, 0, 1)
-    g, s, t = poly.ext_gcd(gf3, f, f)
+    g, s, t = _ext_gcd_with_t(gf3, f, f)
     assert g == poly.monic(gf3, f)
     assert poly.add(gf3, poly.mul(gf3, s, f), poly.mul(gf3, t, f)) == g
 
@@ -65,7 +76,7 @@ def test_ext_gcd_bezout_witnesses_n7(gf2):
     cof = poly.quo(gf2, x7p1, f1)
     a = poly.mul(gf2, cof, cof)
     b = poly.mul(gf2, f1, f1)
-    g, s, t = poly.ext_gcd(gf2, a, b)
+    g, s, t = _ext_gcd_with_t(gf2, a, b)
     assert g == (1,)
     assert poly.add(gf2, poly.mul(gf2, s, a), poly.mul(gf2, t, b)) == (1,)
     assert poly.deg(s) < poly.deg(b)
@@ -79,7 +90,7 @@ def test_ext_gcd_randomized(rng):
             b = rand_poly(gf, rng, 8)
             if not a and not b:
                 continue
-            g, s, t = poly.ext_gcd(gf, a, b)
+            g, s, t = _ext_gcd_with_t(gf, a, b)
             lhs = poly.add(gf, poly.mul(gf, s, a), poly.mul(gf, t, b))
             assert lhs == g
             if a:

@@ -7,8 +7,9 @@ import functools
 
 import pytest
 
-from u4codes import (GF, ambient_reciprocal, build_code, compute_decomposition,
-                     dual_span, factor_xn_minus_delta, poly, span_ideal)
+from u4codes import (GF, ambient_reciprocal, build_code, canonical_rearrange,
+                     check_self_dual, compute_decomposition, dual_span, enumerate_codes,
+                     factor_xn_minus_delta, poly, self_dual_codes, span_ideal)
 from theory import dual_decomposition
 
 # every (p, m) with p <= 13 and q = p^m <= 2^12
@@ -93,6 +94,30 @@ def test_reciprocal_idempotents_are_the_dual_idempotents_at_tau_hypothesis():
             assert ambient_reciprocal(fd.e) == dd.factors[d.tau[j]].e
 
     reciprocal_pairing()
+
+
+def test_the_oracle_confirms_exactly_5_to_the_eps_pairs_self_dual_codes_hypothesis():
+    # for q = 2^m and delta = 1 the pairs tau swaps count the self-dual codes:
+    # the oracle confirms each of the 5^eps_pairs enumerated codes and, where
+    # all 5^r codes are few enough to check, finds no other
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @functools.lru_cache(maxsize=None)      # the oracle runs once per drawn (m, n)
+    def counts(m, n):
+        d = decomposition((2, m), n, 1, 1)
+        confirmed = sum(map(check_self_dual, self_dual_codes(canonical_rearrange(d))))
+        every = sum(map(check_self_dual, enumerate_codes(d))) if d.r <= 3 else None
+        return 5 ** d.eps_pairs, confirmed, every
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(st.integers(1, 3), st.sampled_from(range(1, 12, 2)))
+    def self_dual_count(m, n):
+        expected, confirmed, every = counts(m, n)
+        assert confirmed == expected
+        assert every in (None, expected)
+
+    self_dual_count()
 
 
 # sympy's own sort of its factors compares modular integers, which it deprecates

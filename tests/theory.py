@@ -131,7 +131,7 @@ class LocalRing:
         self.d = len(self.f) - 1
         self.fsq = poly.mul(gf, self.f, self.f)
         self.omega = poly.rem(gf, poly.normalize(omega), self.fsq)
-        g, s, _ = poly.ext_gcd(gf, self.omega, self.fsq)
+        g, s = poly.ext_gcd(gf, self.omega, self.fsq)
         if g != poly.ONE:
             raise NotAUnitError("omega is not a unit of GF(q)[x]/(f^2)")
         self.omega_inv = poly.rem(gf, s, self.fsq)
