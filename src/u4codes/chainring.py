@@ -19,6 +19,8 @@ All values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from . import poly
 from .errors import AmbientMismatchError, NotAUnitError
 
@@ -268,8 +270,9 @@ class AmbientElement:
         return f"AmbientElement(n={self.n}, lam={self.lam!r}, {ambient_str(self)})"
 
     def to_json(self) -> dict:
+        it = iter(self.flat)
         return {"n": self.n, "lambda": self.lam.to_json(),
-                "coeffs": [list(self.coeff(i)) for i in range(self.n)]}
+                "coeffs": [list(cs) for cs in zip(it, it, it, it)]}
 
 
 def ambient_str(a: AmbientElement, poly_basis: bool = False) -> str:
@@ -300,9 +303,21 @@ def ambient_reciprocal(a: AmbientElement) -> AmbientElement:
     x^(-i) = lam * x^(n-i) for 0 < i < n; constants are fixed.  This is a
     ring isomorphism between the two ambients (an automorphism when
     lam^(-1) = lam).
+
+    In the flat layout, u-coordinate k of x^1 .. x^(n-1) is the stride
+    flat[4 + k::4]; each stride of the result is the reversed strides of a
+    convolved with lam's coordinates as in conv4, one strided map per
+    nonzero coordinate of lam (none for a coordinate equal to one).
     """
     gf, n, lam_cs = a.gf, a.n, a.lam.cs
-    flat = list(a.coeff(0))
-    for i in range(n - 1, 0, -1):
-        flat.extend(conv4(gf, a.coeff(i), lam_cs))
+    rev = [a.flat[4 * n - 4 + k:3:-4] for k in range(4)]   # x^(n-1) .. x^1
+    flat = list(a.flat)
+    for k in range(4):
+        acc = None
+        for j in range(k + 1):
+            c = lam_cs[j]
+            if c:
+                col = rev[k - j] if c == 1 else map(gf.mul, rev[k - j], repeat(c))
+                acc = list(col) if acc is None else list(map(gf.add, acc, col))
+        flat[4 + k::4] = acc or [0] * (n - 1)
     return a._with(flat, a.lam.inv())

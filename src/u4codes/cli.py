@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -60,7 +61,51 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    """Print json.dumps(obj, sort_keys=True, indent=2), byte for byte.
+
+    With `indent` set, CPython's json takes its pure-Python encoder, which
+    costs more than building a code; _indented writes the same bytes.
+    """
+    print(_indented(obj, ""))
+
+
+def _indented(obj, ind: str) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for obj starting on a line
+    indented by ind, for acyclic data whose dict keys are all str (any other
+    key raises TypeError).
+
+    A list of ints is one join, and a list of int lists of one non-zero
+    length (the coefficients of an ambient element) one map of a format
+    string over its columns; scalars and keys go through json.dumps.
+    Testing `type(x) is int` keeps bools, whose str is not their JSON, and
+    int subclasses on the general path.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("keys must be str")
+        inner = ind + "  "
+        body = (",\n" + inner).join(
+            json.dumps(k) + ": " + _indented(obj[k], inner) for k in sorted(obj))
+        return "{\n" + inner + body + "\n" + ind + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = ind + "  "
+        sep = ",\n" + inner
+        types = set(map(type, obj))
+        if types == {int}:
+            body = sep.join(map(str, obj))
+        elif (types <= {list, tuple} and len(set(map(len, obj))) == 1 and obj[0]
+              and set(map(type, itertools.chain.from_iterable(obj))) == {int}):
+            deeper = ",\n" + inner + "  "
+            item = "[" + deeper[1:] + deeper.join(["{}"] * len(obj[0])) + "\n" + inner + "]"
+            body = sep.join(map(item.format, *zip(*obj)))
+        else:
+            body = sep.join(_indented(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + ind + "]"
+    return json.dumps(obj)
 
 
 def _emit_json_line(obj) -> None:

@@ -12,9 +12,9 @@ and complementary exponents on swapped pairs: 5^eps_pairs of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
+from . import poly
 from .chainring import AmbientElement, RingElement, ambient_reciprocal
 from .decomposition import Decomposition
 from .errors import InvalidIndexError, SelfDualUnsupportedError
@@ -24,8 +24,7 @@ from .field import _digits
 _MAX_EXP = 4
 
 
-@dataclass(frozen=True)
-class CodeRecord:
+class CodeRecord(NamedTuple):
     """One code: its exponent tuple, single generator, and size exponent."""
 
     index: tuple[int, ...]
@@ -64,15 +63,27 @@ def _shift_sum(d: Decomposition, exps) -> AmbientElement:
     """sum_j u^(exps_j) * e_j(x).
 
     Multiplying by u^l moves u-coordinate k of every position to k + l and
-    drops what passes u^3, so each term is a strided add on the flat vector.
-    Each e_j = e0_j + u^2 * e1_j has zero u^1 and u^3 coordinates, so only
-    the strides k = l and k = l + 2 can receive anything nonzero.
+    drops what passes u^3, so each term adds onto strides of the flat
+    vector (stride k holds u-coordinate k of x^0 .. x^(n-1)).  Each
+    e_j = e0_j + u^2 * e1_j has zero u^1 and u^3 coordinates, so term j
+    adds e0_j onto stride l and e1_j onto stride l + 2.  Over a prime field
+    each stride is a sum of packed lanes (Decomposition._packed_columns),
+    unpacked mod p once; extension fields add with strided maps.
     """
-    fadd = d.gf.add
-    flat = [0] * (4 * d.n)
-    for l, fd in zip(exps, d.factors):
-        for k in range(l, 4, 2):
-            flat[k::4] = map(fadd, flat[k::4], fd.e.flat[k - l::4])
+    gf, n = d.gf, d.n
+    flat = [0] * (4 * n)
+    if gf.m == 1:
+        w, packed = d._packed_columns
+        cols = [0] * 7                    # strides 4 to 6 take what passes u^3
+        for l, (e0, e1) in zip(exps, packed):
+            cols[l] += e0
+            cols[l + 2] += e1
+        for k in range(4):
+            flat[k::4] = poly._unpack(cols[k], n, w, gf.p)
+    else:
+        for l, fd in zip(exps, d.factors):
+            for k in range(l, 4, 2):
+                flat[k::4] = map(gf.add, flat[k::4], fd.e.flat[k - l::4])
     return d.factors[0].e._with(flat)   # every e_j lies in d's ambient
 
 

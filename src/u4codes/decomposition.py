@@ -24,7 +24,8 @@ enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from . import poly
 from .chainring import AmbientElement, RingElement, lam_of
@@ -33,8 +34,7 @@ from .factor import DEFAULT_SEED, factor_xn_minus_delta
 from .field import GF
 
 
-@dataclass(frozen=True)
-class FactorData:
+class FactorData(NamedTuple):
     """Everything attached to one irreducible factor f of x^n - delta."""
 
     f: tuple[int, ...]
@@ -50,15 +50,30 @@ class FactorData:
     omega_inv: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Decomposition:
-    gf: GF
-    n: int
-    delta: int
-    alpha: int
-    factors: tuple[FactorData, ...]
-    tau: tuple[int, ...]
-    canonical: bool = False
+    """The CRT data of one ambient: its factors in order and tau.
+
+    A plain class, so that cached_property can store on it; the package
+    avoids dataclasses, whose import of inspect, ast and dis costs about
+    1 MB resident per process.
+    """
+
+    def __init__(self, *, gf: GF, n: int, delta: int, alpha: int,
+                 factors: tuple[FactorData, ...], tau: tuple[int, ...],
+                 canonical: bool = False):
+        self.gf, self.n, self.delta, self.alpha = gf, n, delta, alpha
+        self.factors, self.tau, self.canonical = factors, tau, canonical
+
+    def _values(self) -> tuple:
+        return (self.gf, self.n, self.delta, self.alpha, self.factors, self.tau, self.canonical)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Decomposition):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     @property
     def r(self) -> int:
@@ -80,6 +95,16 @@ class Decomposition:
         """Index pairs tau swaps; None unless delta is its own inverse."""
         rho = self.rho
         return None if rho is None else (self.r - rho) // 2
+
+    @cached_property
+    def _packed_columns(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Over a prime field: lane bytes w and, for each factor, e0_j and e1_j
+        (the u^0 and u^2 strides of e_j) packed as lanes of w bytes, wide
+        enough for a sum over all r factors.  Built on first use, not in
+        set-up; codes._shift_sum adds them.
+        """
+        w = poly._lane_bytes(self.r * (self.gf.p - 1))
+        return w, tuple((poly._pack(fd.e0, w), poly._pack(fd.e1, w)) for fd in self.factors)
 
 
 def _factor_data(gf, n: int, delta: int, alpha: int, factors) -> tuple[FactorData, ...]:
@@ -206,6 +231,11 @@ def from_json(obj) -> Decomposition:
     its shape (a non-empty factor list, n coefficients per idempotent) is
     checked first, bounding the work by its size.  Factor order is seed-free.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a decomposition dump is a JSON object, not {type(obj).__name__}")
+    missing = [k for k in ("n", "field", "delta", "alpha") if k not in obj]
+    if missing:
+        raise ValueError(f"the dump lacks {', '.join(missing)}")
     n, factors = int(obj["n"]), obj.get("factors")
     try:
         shaped = isinstance(factors, list) and {len(fo["e"]["coeffs"]) for fo in factors} == {n}

@@ -137,23 +137,13 @@ class GF:
     def _powers_of_primitive(self) -> list[int]:
         """[g^0, ..., g^(q-2)] for the primitive element g of least encoding.
 
-        Products are taken in the power basis: ints mod p for m = 1, and
-        poly.mul then poly.rem by the modulus over GF(p) otherwise.
+        Each candidate g steps its powers with a fixed map "times g": a * g
+        mod p for m = 1, and otherwise _times, the GF(p)-linear map on the
+        power-basis digits.
         """
         p, m, q = self.p, self.m, self.q
-        if m == 1:
-            def times(g: int):
-                return lambda a: a * g % p
-        else:
-            base = GF(p)
-            from . import poly
-
-            def times(g: int):
-                gd = _digits(g, p, m)
-                return lambda a: self.from_coeffs(
-                    poly.rem(base, poly.mul(base, _digits(a, p, m), gd), self.modulus))
         for g in range(1, q):
-            times_g = times(g)
+            times_g = (lambda a, g=g: a * g % p) if m == 1 else self._times(g)
             powers = [1]
             a = g
             while a != 1:
@@ -162,6 +152,41 @@ class GF:
             if len(powers) == q - 1:
                 return powers
         raise RuntimeError("no primitive element found")  # pragma: no cover
+
+    def _times(self, g: int):
+        """a -> a * g on encodings (m > 1), built from the m images g*y^i mod
+        the modulus.  The low h = m // 2 digits of a and the rest each index a
+        table of sums of images: for p = 2 the images are encodings and the
+        sums XORs; for odd p they are digit vectors packed in lanes of w bytes,
+        added without carries and unpacked mod p only for the result.
+        """
+        from . import poly
+
+        p, m, modulus = self.p, self.m, self.modulus
+        digits, images = list(_digits(g, p, m)), []
+        for _ in range(m):
+            images.append(digits)
+            top = digits[-1]                 # y * digits, less top * modulus
+            digits = [(c - top * mc) % p for c, mc in zip([0] + digits[:-1], modulus)]
+        if p == 2:
+            encode, add = self.from_coeffs, operator.xor
+        else:
+            w = poly._lane_bytes(m * (p - 1) ** 2)
+            encode, add = (lambda v: poly._pack(v, w)), operator.add
+        h, low = m // 2, p ** (m // 2)
+        tables = []
+        for part in (images[:h], images[h:]):
+            t = [0]
+            for v in part:
+                e = encode(v)
+                t = [add(s, c * e) for c in range(p) for s in t]
+            tables.append(t)
+        lo, hi = tables
+        if p == 2:
+            return lambda a: lo[a & low - 1] ^ hi[a >> h]
+        weights = [p ** i for i in range(m)]
+        return lambda a: sum(map(operator.mul, poly._unpack(lo[a % low] + hi[a // low], m, w, p),
+                                 weights))
 
     # -- arithmetic (add and sub are bound in __init__) -------------------
 

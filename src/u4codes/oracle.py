@@ -16,13 +16,12 @@ canonical basis with the claimed dual's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AmbientMismatchError
 
 
-@dataclass(frozen=True)
-class FlatCode:
+class FlatCode(NamedTuple):
     """An F_q-subspace of GF(q)^(4n) in reduced row echelon form."""
 
     gf: object

@@ -26,6 +26,12 @@ each lane is reduced mod p only when it is read.
 For m > 1 the encoding of an element is not its residue, so products of
 coefficients need the field's tables; those fields keep the list
 schoolbook loops.
+
+The lane helpers `_lane_bytes`, `_pack` and `_unpack` also serve two
+other modules: `codes._shift_sum` adds the packed idempotent strides of
+a prime-field decomposition (`Decomposition._packed_columns`), and
+`GF._times` adds packed digit vectors when it builds the tables of an
+odd-characteristic extension field.
 """
 
 from __future__ import annotations

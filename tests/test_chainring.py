@@ -4,6 +4,7 @@ import pytest
 
 from u4codes import (GF, AmbientElement, AmbientMismatchError, NotAUnitError,
                      RingElement, ambient_reciprocal, lam_of, poly)
+from u4codes.chainring import conv4
 from conftest import rand_poly
 from theory import BigQuotientElement, LocalRing, local_v_expansion, psi_inverse, psi_map
 
@@ -191,6 +192,32 @@ def test_reciprocal_is_an_involution_when_lambda_self_inverse(gf2, rng):
     for _ in range(20):
         a = rand_ambient(gf2, 7, lam, rng)
         assert ambient_reciprocal(ambient_reciprocal(a)) == a
+
+
+def _reciprocal_by_conv4(a):
+    """x^(-i) = lam * x^(n-i): one conv4 with lam's coordinates per coefficient."""
+    flat = list(a.coeff(0))
+    for i in range(a.n - 1, 0, -1):
+        flat.extend(conv4(a.gf, a.coeff(i), a.lam.cs))
+    return flat
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (3, 2), (3, 5)])
+def test_strided_reciprocal_matches_one_conv4_per_coefficient(p, m, rng):
+    gf = GF(p, m)
+    nonzero = range(1, gf.q)
+    for n in (1, 2, 3, 7, 12):
+        lam = RingElement(gf, [rng.choice(nonzero) for _ in range(4)])
+        for _ in range(6):
+            a = rand_ambient(gf, n, lam, rng)
+            # nonzero u^1 and u^3 coordinates at the constant and at x^(n-1)
+            flat = list(a.flat)
+            for i in (1, 3, 4 * n - 3, 4 * n - 1):
+                flat[i] = rng.choice(nonzero)
+            a = a._with(flat)
+            r = ambient_reciprocal(a)
+            assert r.lam == lam.inv()
+            assert list(r.flat) == _reciprocal_by_conv4(a)
 
 
 # -- the big quotient and psi ------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from u4codes import cli
+from u4codes import GF, build_code, cli, compute_decomposition, dual_code
 
 SCHEMA_DIR = Path(cli.__file__).resolve().parent / "schemas"
 
@@ -122,6 +123,52 @@ def test_codes_single_index_json(capsys):
     jsonschema.validate(obj["code"], schema)
     jsonschema.validate(obj["dual"], schema)
     assert obj["log_q_product"] == 28
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_indented_writer_matches_json_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers() | st.booleans()
+    scalars = st.none() | ints | st.floats() | st.text()
+    # lists of int lists of one length take the writer's column path
+    rows = st.integers(0, 4).flatmap(
+        lambda k: st.lists(st.lists(ints, min_size=k, max_size=k)
+                           | st.tuples(*[st.integers()] * k), max_size=5))
+    values = st.recursive(
+        scalars | rows,
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(st.text(), inner, max_size=4)),
+        max_leaves=20)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(values)
+    def same_bytes(obj):
+        assert cli._indented(obj, "") == _dumps(obj)
+
+    same_bytes()
+
+
+@pytest.mark.parametrize("obj", [{1: 2}, {"a": {None: 1}}, [{"a": 1, 2.5: 0}]])
+def test_indented_writer_rejects_keys_that_are_not_str(obj):
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._indented(obj, "")
+
+
+def test_codes_index_json_is_json_dumps_at_q2_n255(capsys):
+    d = compute_decomposition(GF(2), 255, 1, 1)
+    idx = [(3 * j) % 5 for j in range(d.r)]
+    obj = {"code": build_code(d, idx).to_json(), "dual": dual_code(d, idx).to_json(),
+           "log_q_product": 4 * d.n}
+    cli._emit_json(obj)
+    out = capsys.readouterr().out
+    assert out == _dumps(obj) + "\n"
+    argv = ("codes", "--p", "2", "--n", "255", "--delta", "1", "--alpha", "1",
+            "--index", ",".join(map(str, idx)), "--json")
+    assert run(capsys, *argv)[1] == out
 
 
 def test_codes_bad_index_length(capsys):
@@ -355,3 +402,12 @@ def test_the_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_importing_the_package_leaves_inspect_unloaded():
+    # dataclasses imports inspect, ast and dis: about 1 MB resident per process
+    code = "import sys, u4codes; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

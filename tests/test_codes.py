@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from u4codes import (GF, AmbientElement, InvalidIndexError, RingElement,
@@ -5,6 +7,7 @@ from u4codes import (GF, AmbientElement, InvalidIndexError, RingElement,
                      canonical_rearrange, compute_decomposition, dual_code,
                      enumerate_codes, index_count, self_dual_codes,
                      self_dual_indices, span_ideal)
+from u4codes.codes import _shift_sum
 from golden import SELF_DUAL_GENERATORS, ambient_coeff_tuples
 from theory import dual_decomposition
 
@@ -37,6 +40,30 @@ def test_invalid_indices(dec7):
     for idx in [(1.9, True, "3"), (1, True, 3), (1.0, 1, 3), (1, 1, "3")]:
         with pytest.raises(InvalidIndexError):
             build_code(dec7, idx)
+
+
+def _strided_shift_sum(d, exps):
+    """sum_j u^(l_j) * e_j by one strided map per term and stride."""
+    flat = [0] * (4 * d.n)
+    for l, fd in zip(exps, d.factors):
+        for k in range(l, 4, 2):
+            flat[k::4] = map(d.gf.add, flat[k::4], fd.e.flat[k - l::4])
+    return flat
+
+
+@pytest.mark.parametrize("p, n, delta", [(2, 15, 1), (2, 21, 1), (3, 8, 1), (3, 10, 2),
+                                         (5, 12, 1), (5, 6, 4), (7, 8, 1), (7, 9, 3),
+                                         (17, 16, 1)])
+def test_packed_shift_sum_matches_strided_maps(p, n, delta):
+    d = compute_decomposition(GF(p), n, delta, 1)
+    rng = random.Random(p * n)
+    lane_bytes, _ = d._packed_columns
+    # GF(17), n = 16: r = 16 linear factors, and r * (p - 1) = 256 needs 2-byte lanes
+    assert lane_bytes == (2 if d.r * (p - 1) >= 256 else 1)
+    tuples = [(l,) * d.r for l in range(5)] + [
+        tuple(rng.randrange(5) for _ in range(d.r)) for _ in range(30)]
+    for exps in tuples:
+        assert list(_shift_sum(d, exps).flat) == _strided_shift_sum(d, exps)
 
 
 def test_enumeration_count_order_and_sizes(dec7):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import time
 
@@ -116,9 +115,7 @@ def test_tau_matches_reciprocal_polynomial_pairing(gf2):
 
 def test_tau_is_conjugated_under_factor_permutation(dec7):
     perm = (2, 0, 1)
-    permuted = dataclasses.replace(
-        dec7, factors=tuple(dec7.factors[j] for j in perm))
-    tau_p = compute_tau(permuted.gf, permuted.delta, permuted.factors)
+    tau_p = compute_tau(dec7.gf, dec7.delta, tuple(dec7.factors[j] for j in perm))
     # tau_p(new_j) = pos(tau(old_j)): conjugation by the permutation
     pos = {old: new for new, old in enumerate(perm)}
     expected = tuple(pos[dec7.tau[perm[j]]] for j in range(3))
@@ -240,6 +237,21 @@ def test_from_json_checks_the_shape_of_the_factors(dec7, how):
         decomp_mod.from_json(blob)
 
 
+@pytest.mark.parametrize("key", ["n", "field", "delta", "alpha"])
+def test_from_json_requires_its_keys(dec7, key):
+    blob = decomp_mod.to_json(dec7)
+    del blob[key]
+    with pytest.raises(ValueError, match=f"lacks {key}"):
+        decomp_mod.from_json(blob)
+
+
+@pytest.mark.parametrize("blob", [{}, {"factors": [{"e": {"coeffs": [0]}}], "n": 1},
+                                  [], "dump", None])
+def test_from_json_rejects_a_dump_that_is_no_object_or_lacks_keys(blob):
+    with pytest.raises(ValueError):
+        decomp_mod.from_json(blob)
+
+
 def test_json_round_trip_of_a_canonical_decomposition(dec7):
     cd = canonical_rearrange(dec7)
     d2 = decomp_mod.from_json(json.loads(json.dumps(decomp_mod.to_json(cd))))
@@ -274,10 +286,8 @@ def test_psi_connects_idempotents_to_their_big_quotient_form(dec7):
 
 
 def test_mismatched_idempotent_raises_internal_error(dec7):
-    broken = dataclasses.replace(
-        dec7, factors=(dec7.factors[0],) * 3)   # three copies of e1
-    with pytest.raises(InternalError):
-        compute_tau(broken.gf, broken.delta, broken.factors)
+    with pytest.raises(InternalError):   # three copies of e1
+        compute_tau(dec7.gf, dec7.delta, (dec7.factors[0],) * 3)
 
 
 def _break_ambient(obj, how):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from u4codes import GF, poly
@@ -127,3 +129,30 @@ def test_check_rejects_out_of_range(gf4):
         gf4.check(4)
     with pytest.raises(ValueError):
         gf4.check(-1)
+
+
+# sha256 (first 16 hex digits) of repr((modulus, exp, log)) for every field
+# with p <= 13 and q <= 4096, and for GF(2^16), as the power-by-power
+# construction (a poly.mul and a poly.rem per power) built them
+TABLE_DIGESTS = {
+    (2, 1): "60817bb9ba6a6e2d", (2, 2): "4f4efc95b6e27495", (2, 3): "846ab18a219af858",
+    (2, 4): "ad4965ccacc82089", (2, 5): "b9517f33140b7170", (2, 6): "02ddd19a34c4c7c8",
+    (2, 7): "5156464a12e80f11", (2, 8): "57facf0274c6eb43", (2, 9): "4c21891a8c1d266a",
+    (2, 10): "d6b87c54f3eed432", (2, 11): "ca99c2593daef8b9", (2, 12): "59328f70a747bddf",
+    (3, 1): "0546061455c935c8", (3, 2): "fd95bb954ab22113", (3, 3): "6951d3045e213e6e",
+    (3, 4): "aac0c8671045fac0", (3, 5): "55973fc364f6100e", (3, 6): "44e9ad6013966d91",
+    (3, 7): "9ef4f6e50ea0ddcd", (5, 1): "d7b3910817700379", (5, 2): "65ab04a12a7dac2a",
+    (5, 3): "2f3ff82d886cc938", (5, 4): "abce5eab406fab59", (5, 5): "468950a9d0fd0cf9",
+    (7, 1): "1b7bd412c1065223", (7, 2): "55e64c4caef2c6d1", (7, 3): "c4d443b30894fe92",
+    (7, 4): "90df60d029d9fda5", (11, 1): "ee03a1813a7c991a", (11, 2): "62cd2f1a34748e72",
+    (11, 3): "f76955818856c022", (13, 1): "c4d500cabac1d9e5", (13, 2): "4bbee80fcb36c182",
+    (13, 3): "0bccb2502f589387",
+    (2, 16): "9da17952547657dd",
+}
+
+
+@pytest.mark.parametrize("p, m", sorted(TABLE_DIGESTS))
+def test_tables_are_those_of_the_power_by_power_construction(p, m):
+    gf = GF(p, m)
+    digest = hashlib.sha256(repr((gf.modulus, gf.exp, gf.log)).encode()).hexdigest()
+    assert digest[:16] == TABLE_DIGESTS[p, m]

@@ -7,9 +7,10 @@ import functools
 
 import pytest
 
-from u4codes import (GF, ambient_reciprocal, build_code, canonical_rearrange,
-                     check_self_dual, compute_decomposition, dual_span, enumerate_codes,
-                     factor_xn_minus_delta, poly, self_dual_codes, span_ideal)
+from u4codes import (GF, AmbientElement, RingElement, ambient_reciprocal, build_code,
+                     canonical_rearrange, check_self_dual, compute_decomposition, dual_span,
+                     enumerate_codes, factor_xn_minus_delta, poly, self_dual_codes,
+                     span_ideal)
 from theory import dual_decomposition
 
 # every (p, m) with p <= 13 and q = p^m <= 2^12
@@ -45,6 +46,62 @@ def test_field_axioms_hypothesis():
             assert gf.pow(a, e) == gf.pow(gf.inv(a), -e)
         # the Frobenius map is additive
         assert gf.pow(gf.add(a, b), gf.p) == gf.add(gf.pow(a, gf.p), gf.pow(b, gf.p))
+
+    axioms()
+
+
+# every field with q <= 9
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+def _ring_elements(st, gf, count):
+    coords = st.lists(st.integers(0, gf.q - 1), min_size=4, max_size=4)
+    return st.lists(coords.map(lambda cs: RingElement(gf, cs)),
+                    min_size=count, max_size=count)
+
+
+def test_ring_axioms_of_r_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.sampled_from(SMALL_FIELDS), st.data())
+    def axioms(pm, data):
+        gf = field(*pm)
+        a, b, c = data.draw(_ring_elements(st, gf, 3))
+        zero, one = RingElement.zero(gf), RingElement.one(gf)
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert a + b == b + a and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a and a - a == zero
+        if a.is_unit():
+            assert a * a.inv() == one
+
+    axioms()
+
+
+def test_ambient_ring_axioms_and_the_reciprocal_isomorphism_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.sampled_from(SMALL_FIELDS), st.integers(1, 10), st.data())
+    def axioms(pm, n, data):
+        gf = field(*pm)
+        lam = data.draw(_ring_elements(st, gf, 1).filter(lambda r: r[0].is_unit()))[0]
+        a, b, c = (AmbientElement(gf, n, lam, data.draw(_ring_elements(st, gf, n)))
+                   for _ in range(3))
+        zero, one = AmbientElement.zero(gf, n, lam), AmbientElement.one(gf, n, lam)
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert a + b == b + a and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a and a - a == zero
+        # x -> x^(-1) is a ring isomorphism onto the ambient of lam^(-1)
+        rec = ambient_reciprocal
+        assert rec(a).lam == lam.inv()
+        assert rec(a * b) == rec(a) * rec(b) and rec(a + b) == rec(a) + rec(b)
+        assert rec(one) == AmbientElement.one(gf, n, lam.inv())
+        assert rec(rec(a)) == a
 
     axioms()
 
